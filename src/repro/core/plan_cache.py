@@ -19,8 +19,8 @@ artifacts once per platform and shares them across every tenant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.optimizer import (
     DEFAULT_GAP_SLACK,
@@ -79,23 +79,43 @@ def with_packing_candidates(
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One application's reusable planning artifacts on one platform."""
+    """One application's reusable planning artifacts on one platform.
+
+    Predictions are memoized per ``schedule.assignments``: neither
+    table changes after the plan is built, so a memo hit returns
+    exactly what re-deriving the chunks and re-summing the table
+    would.  Admission prices every incumbent's contention span on
+    every evaluation, which makes this the serving hot path.
+    """
 
     application: Application
     isolated: ProfilingTable
     interference: ProfilingTable
     optimization: OptimizationResult
+    _isolated_memo: Dict[Tuple[str, ...], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _interference_memo: Dict[Tuple[str, ...], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _predict(self, memo: Dict[Tuple[str, ...], float],
+                 table: ProfilingTable, schedule: Schedule) -> float:
+        latency = memo.get(schedule.assignments)
+        if latency is None:
+            latency = schedule.predicted_latency(self.application, table)
+            memo[schedule.assignments] = latency
+        return latency
 
     def isolated_prediction(self, schedule: Schedule) -> float:
         """Model latency with nothing else on the SoC."""
-        return schedule.predicted_latency(self.application, self.isolated)
+        return self._predict(self._isolated_memo, self.isolated, schedule)
 
     def interference_prediction(self, schedule: Schedule) -> float:
         """Model latency with every other PU saturated (the paper's
         interference-heavy profiling condition)."""
-        return schedule.predicted_latency(
-            self.application, self.interference
-        )
+        return self._predict(self._interference_memo, self.interference,
+                             schedule)
 
     def contention_span(self, schedule: Schedule) -> float:
         """Predicted latency growth from idle to saturated co-runners

@@ -13,11 +13,17 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.serve.metrics import percentile
 from repro.fleet.tenant import FleetTenant
+from repro.serialization import FrozenSlots
 
 
 @dataclass(frozen=True)
-class FleetTenantMetrics:
+class FleetTenantMetrics(FrozenSlots):
     """Latency + lifecycle summary of one fleet tenant."""
+
+    # Slotted: a fleet report keeps one of these per tenant.
+    __slots__ = ("tenant", "status", "windows_served", "migrations",
+                 "reschedules", "shards", "mean_latency_s",
+                 "p50_latency_s", "p95_latency_s", "max_latency_s")
 
     tenant: str
     status: str

@@ -622,16 +622,16 @@ class FleetRouter:
                 # A shard remembers every tenant it ever hosted within
                 # a generation; a migrating tenant moves elsewhere.
                 continue
+            running = server.running_records()
             decision = server.admission.evaluate(
-                spec, server.placement, server.running_records(),
-                queued=0,
+                spec, server.placement, running, queued=0,
             )
             if decision.action != ADMIT:
                 continue
             worst_impact = max(decision.predicted_impact.values(),
                                default=1.0)
             key = (worst_impact, decision.predicted_latency_s,
-                   len(server.running_records()), shard.index)
+                   len(running), shard.index)
             if best_key is None or key < best_key:
                 best, best_key = (shard, decision), key
         return best

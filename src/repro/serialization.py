@@ -25,7 +25,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
 from repro.core.profiler import ProfilingTable
@@ -42,6 +42,25 @@ PathLike = Union[str, Path]
 
 class SerializationError(ReproError):
     """Raised for malformed or mismatched persisted artifacts."""
+
+
+class FrozenSlots:
+    """Base for frozen dataclasses that declare explicit ``__slots__``.
+
+    ``dataclass(slots=True)`` needs Python 3.10, so per-event records
+    list their slots by hand.  Copying or unpickling restores slot
+    state by assignment, which a frozen dataclass refuses; these two
+    methods restore it the way ``slots=True`` does.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 def _where(path: Optional[PathLike]) -> str:

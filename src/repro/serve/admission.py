@@ -25,10 +25,10 @@ Three outcomes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
 from repro.core.optimizer import ScheduleCandidate
-from repro.core.plan_cache import PlanCache
+from repro.core.plan_cache import CachedPlan, PlanCache
 from repro.errors import ServeError
 from repro.serve.placement import PlacementMap
 from repro.serve.tenant import TenantRecord, TenantSpec
@@ -98,6 +98,10 @@ class AdmissionController:
         self.max_partition_classes = max_partition_classes
         self.cumulative_impact = cumulative_impact
         self._schedulable = frozenset(platform.schedulable_classes())
+        self._memo_state: Optional[Hashable] = None
+        self._memo: Dict[
+            Tuple[str, FrozenSet[str], FrozenSet[str]], AdmissionDecision
+        ] = {}
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -107,9 +111,61 @@ class AdmissionController:
         running: Mapping[str, TenantRecord],
         queued: int,
     ) -> AdmissionDecision:
-        """Evaluate one submission against the current placement."""
-        plan = self.plan_cache.plan_for(spec.application)
+        """Evaluate one submission against the current placement.
 
+        Decisions are memoized per shard state.  The state key holds
+        everything pricing reads: ``queued``, the free PU classes, and
+        each running tenant's name, partition, plan (by application
+        name, as :class:`PlanCache` keys plans) and schedule, in
+        admission order.  While the key is unchanged, a submission
+        with the same application name and class constraints gets the
+        same decision back; any change clears the memo.  A fleet
+        router prices every backlog tenant against every shard on
+        every tick, and the shard state changes only when a tenant is
+        placed or leaves, so most evaluations are memo hits.
+
+        The memo is unsynchronized: every caller runs on the one
+        tick/loop thread that owns the shard.
+        """
+        # Always consulted, hit or miss: its counters are report bytes.
+        plan = self.plan_cache.plan_for(spec.application)
+        state = self._state_key(placement, running, queued)
+        if state != self._memo_state:
+            self._memo_state = state
+            self._memo = {}
+        key = (spec.application.name, spec.required_classes,
+               spec.preferred_classes)
+        decision = self._memo.get(key)
+        if decision is None:
+            decision = self._price(spec, plan, placement, running, queued)
+            self._memo[key] = decision
+        return decision
+
+    def _state_key(
+        self,
+        placement: PlacementMap,
+        running: Mapping[str, TenantRecord],
+        queued: int,
+    ) -> Hashable:
+        """Everything :meth:`_price` reads of the shard's state."""
+        return (queued, placement.free_classes(), tuple(
+            (name, record.partition,
+             None if record.plan is None
+             else record.plan.application.name,
+             None if record.schedule is None
+             else record.schedule.assignments)
+            for name, record in running.items()
+        ))
+
+    def _price(
+        self,
+        spec: TenantSpec,
+        plan: CachedPlan,
+        placement: PlacementMap,
+        running: Mapping[str, TenantRecord],
+        queued: int,
+    ) -> AdmissionDecision:
+        """The uncached decision: price ``spec`` against the shard."""
         unservable = spec.required_classes - self._schedulable
         if unservable:
             return AdmissionDecision(
@@ -234,7 +290,7 @@ class AdmissionController:
 
     def _loaded_prediction(
         self,
-        plan,
+        plan: CachedPlan,
         candidate: ScheduleCandidate,
         running: Mapping[str, TenantRecord],
     ) -> float:

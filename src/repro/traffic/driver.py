@@ -40,6 +40,7 @@ from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
 from repro.serve.scenario import _memory_bound_application
 from repro.serve.tenant import PENDING, TenantSpec
+from repro.serialization import FrozenSlots
 from repro.traffic.generator import (
     BANDWIDTH_BOUND,
     MEMORY_BOUND,
@@ -80,8 +81,13 @@ def materialize(event: ArrivalEvent, stage_count: int) -> TenantSpec:
 
 
 @dataclass(frozen=True)
-class WindowSample:
+class WindowSample(FrozenSlots):
     """One served window, tagged for SLO evaluation."""
+
+    # Slotted: a soak keeps one sample per served window alive until
+    # it is evaluated.
+    __slots__ = ("tick", "tenant", "tier", "shard", "latency_s",
+                 "slowdown")
 
     tick: int
     tenant: str

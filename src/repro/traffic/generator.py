@@ -21,6 +21,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro.errors import TrafficError
+from repro.serialization import FrozenSlots
 from repro.traffic.spec import MMPP, TierSpec, TrafficSpec
 
 
@@ -45,7 +46,7 @@ APP_KINDS = (SYNTHETIC, MEMORY_BOUND, BANDWIDTH_BOUND)
 
 
 @dataclass(frozen=True)
-class ArrivalEvent:
+class ArrivalEvent(FrozenSlots):
     """One tenant arrival, as pure data.
 
     The driver materializes the actual
@@ -53,6 +54,10 @@ class ArrivalEvent:
     included) from these fields; keeping the event itself plain makes
     the trace format trivially JSON-serializable.
     """
+
+    # Slotted: a run keeps every arrival alive in its result.
+    __slots__ = ("tick", "name", "tier", "priority", "windows",
+                 "window_tasks", "app_kind", "app_seed")
 
     tick: int
     name: str

@@ -48,6 +48,10 @@ OVERLOAD_TIERS = (
     TierSpec(name="bronze", priority=0, weight=3.0, slo_slowdown=1.22),
 )
 
+#: Saturation arrival rate per shard: 0.55 x 2 shards is the 1.1
+#: arrivals per tick the scenario was first calibrated at.
+SATURATION_ARRIVALS_PER_SHARD = 0.55
+
 
 @dataclass(frozen=True)
 class FleetOverloadScenario:
@@ -61,8 +65,9 @@ class FleetOverloadScenario:
     #: Arrival intensity at 1.0x: calibrated so the offered window
     #: demand roughly matches what n_shards fully-packed pixel7a
     #: shards can serve (one window per running tenant per tick,
-    #: four single-class partitions per shard).
-    saturation_arrivals_per_tick: float = 1.1
+    #: four single-class partitions per shard).  None resolves to
+    #: :data:`SATURATION_ARRIVALS_PER_SHARD` x ``n_shards``.
+    saturation_arrivals_per_tick: Optional[float] = None
     #: The overload knob: offered load as a multiple of saturation.
     load_multiplier: float = 1.5
     #: Mid-run burst overlay (also what the recovery metric watches).
@@ -93,9 +98,12 @@ class FleetOverloadScenario:
 
     def spec(self) -> TrafficSpec:
         """The workload this scenario offers."""
+        saturation = self.saturation_arrivals_per_tick
+        if saturation is None:
+            saturation = SATURATION_ARRIVALS_PER_SHARD * self.n_shards
         return TrafficSpec(
             ticks=self.ticks,
-            arrivals_per_tick=self.saturation_arrivals_per_tick,
+            arrivals_per_tick=saturation,
             load_multiplier=self.load_multiplier,
             diurnal_amplitude=self.diurnal_amplitude,
             diurnal_period_ticks=self.ticks,

@@ -37,3 +37,20 @@ def single_class_schedule(plan, pu_class):
         if set(candidate.schedule.pu_classes_used) == {pu_class}:
             return candidate.schedule
     raise AssertionError(f"no single-class candidate for {pu_class!r}")
+
+
+def defeat_admission_memo(monkeypatch):
+    """Turn off both admission-pricing memos for the patch's lifetime:
+    every evaluation prices from scratch (its shard-state key never
+    matches the last one) and every plan prediction re-sums its
+    profiling table."""
+    from repro.core.plan_cache import CachedPlan
+    from repro.serve.admission import AdmissionController
+
+    monkeypatch.setattr(AdmissionController, "_state_key",
+                        lambda self, placement, running, queued: object())
+    monkeypatch.setattr(
+        CachedPlan, "_predict",
+        lambda self, memo, table, schedule: schedule.predicted_latency(
+            self.application, table),
+    )

@@ -1,6 +1,9 @@
 """Tests for JSON persistence of framework artifacts."""
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -8,6 +11,7 @@ from repro.apps import build_octree_application
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import BTProfiler
 from repro.core.schedule import Schedule
+from repro.fleet.metrics import FleetTenantMetrics
 from repro.serialization import (
     CHECKSUM_KEY,
     SerializationError,
@@ -24,6 +28,8 @@ from repro.serialization import (
     schedule_to_dict,
 )
 from repro.soc import get_platform
+from repro.traffic.driver import WindowSample
+from repro.traffic.generator import ArrivalEvent
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +351,33 @@ class TestJsonReportMetricsSnapshot:
             finally:
                 os.unlink(name)
         assert payload == {"x": 1}
+
+
+SLOTTED_RECORDS = [
+    WindowSample(tick=3, tenant="t", tier="gold", shard="soc0",
+                 latency_s=0.5, slowdown=1.1),
+    ArrivalEvent(tick=3, name="t", tier="gold", priority=2, windows=4,
+                 window_tasks=10, app_kind="cpu", app_seed=9),
+    FleetTenantMetrics(tenant="t", status="completed", windows_served=4,
+                       migrations=1, reschedules=0,
+                       shards=("soc0", "soc1"), mean_latency_s=0.5,
+                       p50_latency_s=0.5, p95_latency_s=0.6,
+                       max_latency_s=0.7),
+]
+
+
+class TestFrozenSlots:
+    @pytest.mark.parametrize("record", SLOTTED_RECORDS,
+                             ids=lambda r: type(r).__name__)
+    def test_slotted_record_behaves_like_a_frozen_dataclass(self, record):
+        assert not hasattr(record, "__dict__")
+        assert type(record).__slots__ == tuple(
+            f.name for f in dataclasses.fields(record))
+        first = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, None)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+        assert dataclasses.replace(record) == record
+        assert dataclasses.asdict(record) == dataclasses.asdict(
+            copy.copy(record))

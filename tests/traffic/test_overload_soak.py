@@ -7,12 +7,14 @@
   bounded (under its SLO);
 * admission control strictly beats admit-everything on goodput;
 * replaying a recorded trace reproduces the recorded run
-  byte-identically.
+  byte-identically;
+* the admission-pricing memo changes no report byte.
 """
 
 import pytest
 
-from repro.serialization import write_json_report
+from repro.fleet.scenario import FleetSoakScenario, run_fleet_soak
+from repro.serialization import artifact_sha256, write_json_report
 from repro.traffic import (
     FleetOverloadScenario,
     OVERLOAD_TIERS,
@@ -20,6 +22,8 @@ from repro.traffic import (
     overload_curve,
     run_overload_soak,
 )
+
+from tests.serve.conftest import defeat_admission_memo
 
 SCENARIO = FleetOverloadScenario()
 
@@ -119,3 +123,61 @@ class TestByteDeterminism:
             FleetOverloadScenario(seed=8), admission=True,
         )
         assert other.to_dict()["per_tick"] != report.to_dict()["per_tick"]
+
+
+class TestSaturationScalesWithShards:
+    def test_two_shard_default_keeps_its_calibration(self):
+        assert SCENARIO.spec().arrivals_per_tick == 1.1
+
+    def test_explicit_rate_wins(self):
+        scenario = FleetOverloadScenario(
+            n_shards=16, saturation_arrivals_per_tick=4.4)
+        assert scenario.spec().arrivals_per_tick == 4.4
+
+    def test_sixteen_shard_default_soak_is_overloaded(self):
+        """At 1.5x, a 16-shard fleet must shed load too - not just the
+        2-shard fleet the old fixed rate was calibrated for."""
+        _, report = run_overload_soak(
+            FleetOverloadScenario(n_shards=16, load_multiplier=1.5))
+        assert report.rejected > 0
+
+
+def memo_arms(run):
+    """``run()`` twice: memo working, then memo defeated."""
+    on = run()
+    with pytest.MonkeyPatch.context() as patch:
+        defeat_admission_memo(patch)
+        off = run()
+    return on, off
+
+
+class TestAdmissionMemoIsExact:
+    @pytest.fixture(scope="class")
+    def overload_arms(self):
+        return memo_arms(lambda: run_overload_soak(
+            FleetOverloadScenario(n_shards=8), admission=True))
+
+    @pytest.fixture(scope="class")
+    def fleet_arms(self):
+        return memo_arms(lambda: run_fleet_soak(FleetSoakScenario()))
+
+    def test_overload_report_identical(self, overload_arms):
+        (_, on), (_, off) = overload_arms
+        assert on.rejected > 0
+        assert (artifact_sha256(on.to_dict())
+                == artifact_sha256(off.to_dict()))
+
+    def test_overload_plan_cache_stats_identical(self, overload_arms):
+        (on, _), (off, _) = overload_arms
+        assert on.fleet_report.plan_cache["hits"] > 0
+        assert on.fleet_report.plan_cache == off.fleet_report.plan_cache
+
+    def test_fleet_soak_report_identical(self, fleet_arms):
+        (_, on), (_, off) = fleet_arms
+        assert (artifact_sha256(on.to_dict())
+                == artifact_sha256(off.to_dict()))
+
+    def test_fleet_soak_plan_cache_stats_identical(self, fleet_arms):
+        (on, _), (off, _) = fleet_arms
+        assert (on.shards[0].plan_cache.stats()
+                == off.shards[0].plan_cache.stats())
