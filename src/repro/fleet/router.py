@@ -1,12 +1,16 @@
-"""The fleet router: N SoC shards, one deterministic control loop.
+"""The fleet router: N SoC shards, one deterministic stepped core.
 
-Scale-out mirrors the single-SoC serving design one level up.  One
-supervised fleet loop thread owns every mutable fleet structure - the
-tenant registry, the backlog, the shard set - and drives all shards in
-lockstep through :class:`~repro.serve.server.PipelineServer`'s step
-mode.  Submissions cross threads through a lock-guarded inbox; after
-the inbox, everything is single-threaded, so a fleet run is a pure
-function of (platform set, tenant specs, chaos schedule, seed).
+Scale-out mirrors the single-SoC serving design one level up, with the
+same one lifecycle: :meth:`FleetRouter.open_stepped`, one
+:meth:`~FleetRouter.step` per fleet tick, then
+:meth:`~FleetRouter.close_stepped`.  :meth:`~FleetRouter.run` drives
+that loop inline under the watchdog
+(:func:`repro.runtime.watchdog.run_ticks`); the open-loop traffic
+driver steps the router itself, submitting between ticks.  The thread
+that steps the router owns every mutable fleet structure - the inbox,
+the tenant registry, the backlog, the shard set - and steps all shards
+in lockstep through their servers' stepped core, so a fleet run is a
+pure function of (platform set, tenant specs, chaos schedule, seed).
 
 Per tick, in fixed phase order:
 
@@ -30,14 +34,12 @@ Per tick, in fixed phase order:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.lock_order import checked_lock
 from repro.core.plan_cache import PlanCache
-from repro.errors import FleetError, ReproError
+from repro.errors import FleetError
 from repro.obs.alerts import BurnRateEvaluator, BurnRateRule
 from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
@@ -54,7 +56,7 @@ from repro.runtime.watchdog import (
     Heartbeat,
     Watchdog,
     WatchdogConfig,
-    supervised_thread,
+    run_ticks,
 )
 from repro.serve.admission import ADMIT
 from repro.serve.server import DriftSpec, ServerConfig
@@ -216,7 +218,6 @@ class FleetRouter:
         self.ticks_executed = 0
 
         self._inbox: Deque[TenantSpec] = deque()
-        self._inbox_lock = checked_lock("fleet.inbox-lock")
         self._backlog: List[str] = []
         self._arrival_counter = 0
         self._shard_windows: Dict[str, int] = {
@@ -234,16 +235,8 @@ class FleetRouter:
         self._tick_outcomes: Dict[str, List[int]] = {}
 
         self._heartbeat = Heartbeat(len(self.shards), "fleet-loop")
-        self._watchdog = Watchdog(
-            [self._heartbeat] + [s.heartbeat for s in self.shards],
-            WatchdogConfig(stall_timeout_s=self.config.stall_timeout_s),
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._done = threading.Event()
-        self._stop_requested = threading.Event()
-        self._started = False
-        self._stepping = False
-        self._loop_error: Optional[str] = None
+        #: "new" -> "open" (open_stepped) -> "closed" (close_stepped).
+        self._lifecycle = "new"
         #: Served-window measurements harvested from the shards, in
         #: harvest order - the open-loop traffic driver's feed.  Kept
         #: out of the fleet timeline so the serialized report does not
@@ -255,81 +248,58 @@ class FleetRouter:
     # ------------------------------------------------------------------
     def submit(self, spec: TenantSpec) -> None:
         """Queue one job for fleet placement (same contract as
-        :meth:`PipelineServer.submit`: pre-start submissions make the
-        run deterministic)."""
-        if self._done.is_set():
+        :meth:`PipelineServer.submit`: each submission lands on the
+        next tick, so the run stays deterministic)."""
+        if self._lifecycle == "closed":
             raise FleetError(
                 f"fleet has drained; cannot submit {spec.name!r}"
             )
-        with self._inbox_lock:
-            if spec.name in self.tenants or any(
-                    pending.name == spec.name for pending in self._inbox):
-                raise FleetError(
-                    f"tenant name {spec.name!r} already submitted"
-                )
-            self._inbox.append(spec)
+        if spec.name in self.tenants or any(
+                pending.name == spec.name for pending in self._inbox):
+            raise FleetError(
+                f"tenant name {spec.name!r} already submitted"
+            )
+        self._inbox.append(spec)
 
-    def start(self) -> None:
-        """Boot every shard and the supervised fleet loop."""
-        if self._started:
-            raise FleetError("fleet already started")
-        self._started = True
-        reg = metrics()
-        if reg.enabled:
-            for shard in self.shards:
-                reg.gauge(f"fleet.shard_state.{shard.name}",
-                          float(SHARD_STATE_CODES[HEALTHY]))
-        for shard in self.shards:
-            shard.boot()
-        self._watchdog.start()
-        self._thread = supervised_thread(
-            "fleet-loop", self._loop, self._heartbeat, self._watchdog
+    def run(self, timeout_s: Optional[float] = None) -> FleetReport:
+        """Run the fleet until every tenant is terminal; return the
+        report.
+
+        Steps fleet ticks on the calling thread (:func:`run_ticks`)
+        until drained or ``max_ticks``, under a watchdog scanning the
+        fleet and shard heartbeats.  ``timeout_s`` bounds host time,
+        checked between ticks.  The run is closed out either way; a
+        tick error or a missed deadline raises :class:`FleetError`
+        afterwards.
+        """
+        watchdog = Watchdog(
+            [self._heartbeat] + [s.heartbeat for s in self.shards],
+            WatchdogConfig(stall_timeout_s=self.config.stall_timeout_s),
         )
-        self._thread.start()
-
-    def drain(self, timeout_s: Optional[float] = None) -> FleetReport:
-        """Wait until every tenant is terminal, stop supervision, and
-        return the report."""
-        if not self._started or self._thread is None:
-            raise FleetError("fleet was never started")
-        if not self._done.wait(timeout_s):
-            self._stop_requested.set()
+        report, error, timed_out = run_ticks(
+            self, self.config.max_ticks, self._heartbeat, watchdog,
+            timeout_s,
+        )
+        if timed_out:
             raise FleetError(
                 f"fleet did not drain within {timeout_s}s "
                 f"(tick {self.ticks_executed})"
             )
-        self._thread.join()
-        self._watchdog.stop()
-        if self._loop_error is not None:
-            raise FleetError(f"fleet loop aborted: {self._loop_error}")
-        return self.report()
-
-    def stop(self) -> None:
-        """Request an early stop and wait for the loop to exit."""
-        self._stop_requested.set()
-        if self._thread is not None:
-            self._done.wait()
-            self._thread.join()
-            self._watchdog.stop()
-
-    def run(self, timeout_s: Optional[float] = None) -> FleetReport:
-        """Convenience: :meth:`start` + :meth:`drain`."""
-        self.start()
-        return self.drain(timeout_s)
+        if error is not None:
+            raise FleetError(f"fleet loop aborted: {error}")
+        return report
 
     # ------------------------------------------------------------------
-    # Step mode (mirrors PipelineServer.open_stepped/step/close_stepped)
+    # The stepped core (mirrors PipelineServer's)
     # ------------------------------------------------------------------
     def open_stepped(self) -> None:
-        """Boot the shards for caller-driven ticking: no loop thread,
-        no watchdog - the caller owns the clock and calls :meth:`step`.
-        This is the open-loop traffic driver's entry point: submissions
-        may keep arriving between ticks, whether or not the fleet is
-        keeping up."""
-        if self._started:
+        """Boot the shards for caller-driven ticking.  The caller owns
+        the clock and calls :meth:`step`; submissions may keep arriving
+        between ticks, whether or not the fleet is keeping up (the
+        open-loop traffic driver's entry point)."""
+        if self._lifecycle != "new":
             raise FleetError("fleet already started")
-        self._started = True
-        self._stepping = True
+        self._lifecycle = "open"
         reg = metrics()
         if reg.enabled:
             for shard in self.shards:
@@ -341,7 +311,7 @@ class FleetRouter:
     def step(self, tick: int) -> bool:
         """Execute one fleet tick; returns True when the fleet is
         drained (empty inbox, every tenant terminal)."""
-        if not self._stepping:
+        if self._lifecycle != "open":
             raise FleetError("fleet is not in step mode")
         self._tick(tick)
         self.ticks_executed += 1
@@ -350,13 +320,10 @@ class FleetRouter:
     def close_stepped(self, detail: Optional[str] = None) -> FleetReport:
         """End a stepped run: settle non-terminal tenants, close the
         shards, and return the report."""
-        if not self._stepping:
+        if self._lifecycle != "open":
             raise FleetError("fleet is not in step mode")
-        if detail is not None:
-            self._loop_error = detail
-        self._stepping = False
-        self._close_out()
-        self._done.set()
+        self._lifecycle = "closed"
+        self._close_out(detail)
         return self.report()
 
     def report(self) -> FleetReport:
@@ -408,25 +375,8 @@ class FleetRouter:
         )
 
     # ------------------------------------------------------------------
-    # Fleet loop (single thread; owns all fleet state)
+    # One fleet tick (one thread; owns all fleet state)
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        try:
-            for tick in range(self.config.max_ticks):
-                if self._stop_requested.is_set():
-                    break
-                self._heartbeat.start_task(tick)
-                self._tick(tick)
-                self._heartbeat.idle()
-                self.ticks_executed = tick + 1
-                if self._drained():
-                    break
-        except ReproError as error:
-            self._loop_error = str(error)
-        finally:
-            self._close_out()
-            self._done.set()
-
     def _tick(self, tick: int) -> None:
         with tracer().span("fleet.tick", "fleet", tick=tick):
             self._tick_outcomes = {
@@ -460,18 +410,14 @@ class FleetRouter:
             reg.series_point("blame.attributed_total", tick, attributed)
 
     def _drained(self) -> bool:
-        with self._inbox_lock:
-            pending = len(self._inbox)
-        if pending:
+        if self._inbox:
             return False
         return all(tenant.done for tenant in self.tenants.values())
 
-    def _close_out(self) -> None:
-        """Terminal states for whatever the loop left behind."""
-        with self._inbox_lock:
-            leftovers = list(self._inbox)
-            self._inbox.clear()
-        for spec in leftovers:
+    def _close_out(self, detail: Optional[str]) -> None:
+        """Terminal states for whatever the run left behind."""
+        while self._inbox:
+            spec = self._inbox.popleft()
             tenant = FleetTenant(
                 spec=spec, arrival=self._arrival_counter,
                 status=REJECTED,
@@ -479,8 +425,7 @@ class FleetRouter:
             )
             self._arrival_counter += 1
             self.tenants[spec.name] = tenant
-        detail = (self._loop_error
-                  or "tick budget exhausted before completion")
+        detail = detail or "tick budget exhausted before completion"
         for tenant in self.tenants.values():
             if tenant.done:
                 continue
@@ -515,7 +460,7 @@ class FleetRouter:
         entry: Dict[str, object] = {"tick": tick, "event": event}
         entry.update(extra)
         self.timeline.append(entry)
-        # Mirror into the observability spine (all on the fleet loop
+        # Mirror into the observability spine (all on the one stepping
         # thread, so emission order is a function of the seed).
         track = (f"tenant:{entry['tenant']}" if "tenant" in entry
                  else f"shard:{entry.get('shard', 'fleet')}")
@@ -667,11 +612,8 @@ class FleetRouter:
                     priority=tenant.priority, cause=cause)
 
     def _place_pending(self, tick: int) -> None:
-        while True:
-            with self._inbox_lock:
-                if not self._inbox:
-                    break
-                spec = self._inbox.popleft()
+        while self._inbox:
+            spec = self._inbox.popleft()
             tenant = FleetTenant(spec=spec,
                                  arrival=self._arrival_counter,
                                  backlog_since=tick)

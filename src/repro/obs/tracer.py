@@ -81,9 +81,9 @@ class Tracer:
     """Collects :class:`TraceEvent` s; disabled instances do nothing.
 
     All mutation happens under one lock so the threaded back-end's
-    dispatchers can emit concurrently; on the deterministic paths
-    (DES, serving loop thread) a single thread emits, so event order -
-    and therefore the exported bytes - is a pure function of the seed.
+    dispatchers can emit concurrently; on the deterministic paths (DES,
+    serve and fleet ticks) a single thread emits, so event order - and
+    therefore the exported bytes - is a pure function of the seed.
     """
 
     def __init__(self, enabled: bool = False) -> None:

@@ -56,7 +56,7 @@ from repro.runtime.watchdog import (
     Heartbeat,
     Watchdog,
     WatchdogConfig,
-    supervised_thread,
+    run_ticks,
 )
 
 __all__ = [
@@ -96,6 +96,6 @@ __all__ = [
     "max_depth_within",
     "pipeline_bubbles",
     "record_span",
+    "run_ticks",
     "simulate_batch",
-    "supervised_thread",
 ]

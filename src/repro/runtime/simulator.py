@@ -25,14 +25,15 @@ Two engines implement the event loop, selected by the ``REPRO_SIM_ENGINE``
 environment variable (or the ``engine=`` constructor argument):
 
 * ``vector`` (default) - the batched event kernel: per-server
-  ``remaining``/``rate``/``busy`` state lives in preallocated numpy
-  arrays, instantaneous rates are recomputed only when the discrete
-  phase signature (who is active, in which stage, which phase) actually
+  ``remaining``/``busy`` state lives in preallocated lists,
+  instantaneous rates are recomputed only when the discrete phase
+  signature (who is active, in which stage, which phase) actually
   changes - and then for all active servers in one pass, memoized per
-  signature - and the min-``dt`` reduction plus the advance step are
-  single vectorized operations.  Pipelines with few servers take an
-  unrolled scalar core of the same kernel (numpy per-op dispatch
-  overhead exceeds the arithmetic below ~8 lanes).
+  signature - and the min-``dt`` reduction plus the advance step loop
+  over the active servers only.  A schedule has at most one chunk per
+  PU class (C2) and a platform at most four classes, so a window has at
+  most four chunk servers - too few for numpy's per-call dispatch to
+  pay off.
 * ``reference`` - the original, readable scalar loop, kept as the
   correctness oracle.  The engine-equivalence suite asserts the two
   produce byte-identical :class:`SimulatedRunResult`\\ s (completions,
@@ -56,7 +57,7 @@ Batching: :func:`simulate_batch` runs many independent windows - all
 tenants of a serve tick, all autotuner measurements of a round - in one
 call, and :meth:`SimulatedPipelineExecutor.run_batch` streams several
 windows through one executor back to back, reusing the engine's
-preallocated arrays plus its warm rate-signature and noise caches.
+preallocated state plus its warm rate-signature and noise caches.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ ENGINE_ENV = "REPRO_SIM_ENGINE"
 ENGINE_VECTOR = "vector"
 ENGINE_REFERENCE = "reference"
 _ENGINES = (ENGINE_VECTOR, ENGINE_REFERENCE)
-
-#: Below this many chunk servers the batch kernel runs its unrolled
-#: scalar core: numpy's per-call dispatch overhead (~0.5 us) exceeds
-#: the cost of the handful of float operations a narrow pipeline needs
-#: per event.  Wide pipelines use the array core.
-_SCALAR_CORE_MAX_SERVERS = 8
 
 
 def _resolve_engine(explicit: Optional[str]) -> str:
@@ -265,16 +260,13 @@ class _ChunkServer:
 class _VectorEngine:
     """The batched event kernel behind the default ``vector`` engine.
 
-    Per-server state lives in preallocated arrays indexed by server
+    Per-server state lives in preallocated lists indexed by server
     position; rates are memoized per *phase signature* - the tuple of
     per-server phase codes (``-1`` idle, else ``stage * 2 + work_flag``)
     - because between events the instantaneous rate vector is a pure
     function of that signature plus the run-constant external load.
-    Wide pipelines advance and reduce with vectorized numpy operations;
-    narrow ones (the common 2-4 chunk schedules) use an unrolled scalar
-    core over the same state, where numpy dispatch overhead would
-    dominate.  Both cores perform identical float arithmetic, so engine
-    output is independent of the core taken.
+    Each event advances and reduces over the active servers only, with
+    the same float arithmetic as the reference engine.
     """
 
     def __init__(self, executor: "SimulatedPipelineExecutor"):
@@ -287,22 +279,10 @@ class _VectorEngine:
         self.external = executor._external
         self.platform = executor.platform
         self.total_other = max(len(self.platform.pu_classes()) - 1, 0)
-        self.use_arrays = n > _SCALAR_CORE_MAX_SERVERS
         # -- preallocated per-server state ------------------------------
-        if self.use_arrays:
-            self.remaining = np.full(n, np.inf)
-            self.busy = np.zeros(n)
-            self.phase_eps = np.full(n, -1.0)
-            self.active_f = np.zeros(n)
-            self._dts = np.empty(n)
-            self._tmp = np.empty(n)
-            self._idle_remaining = np.inf
-        else:
-            self.remaining = [0.0] * n
-            self.busy = [0.0] * n
-            self.phase_eps = [-1.0] * n
-            self.active_f = [0.0] * n
-            self._idle_remaining = 0.0
+        self.remaining = [0.0] * n
+        self.busy = [0.0] * n
+        self.phase_eps = [-1.0] * n
         self.stage = [0] * n
         self.task = [_IDLE] * n
         self.noise = [1.0] * n
@@ -310,25 +290,15 @@ class _VectorEngine:
         self.sig = [-1] * n
         self.ready: List[Deque[int]] = [deque() for _ in range(n)]
         self.n_active = 0
-        #: signature -> (active index list, per-active rate list,
-        #: full-width rate array for the vector core or None).
+        #: signature -> (active index list, per-active rate list).
         self.rate_cache: Dict[Tuple[int, ...], tuple] = {}
 
-    # -- state transitions (shared by both cores) ----------------------
+    # -- state transitions ---------------------------------------------
     def _reset(self) -> None:
-        n = self.n
-        if self.use_arrays:
-            self.remaining.fill(np.inf)
-            self.busy.fill(0.0)
-            self.phase_eps.fill(-1.0)
-            self.active_f.fill(0.0)
-        else:
-            for i in range(n):
-                self.remaining[i] = 0.0
-                self.busy[i] = 0.0
-                self.phase_eps[i] = -1.0
-                self.active_f[i] = 0.0
-        for i in range(n):
+        for i in range(self.n):
+            self.remaining[i] = 0.0
+            self.busy[i] = 0.0
+            self.phase_eps[i] = -1.0
             self.stage[i] = 0
             self.task[i] = _IDLE
             self.noise[i] = 1.0
@@ -356,7 +326,6 @@ class _VectorEngine:
     def _begin_task(self, i: int, task_id: int, scale_fn) -> None:
         self.task[i] = task_id
         self.stage[i] = 0
-        self.active_f[i] = 1.0
         self.n_active += 1
         self._enter_stage(i, scale_fn)
 
@@ -377,9 +346,8 @@ class _VectorEngine:
         done = self.task[i]
         self.task[i] = _IDLE
         self.sig[i] = -1
-        self.remaining[i] = self._idle_remaining
+        self.remaining[i] = 0.0
         self.phase_eps[i] = -1.0
-        self.active_f[i] = 0.0
         self.n_active -= 1
         return done
 
@@ -424,11 +392,7 @@ class _VectorEngine:
                 if share > 0.0:
                     rate /= 1.0 + share
             rates.append(rate)
-        full = None
-        if self.use_arrays:
-            full = np.ones(self.n)
-            full[active] = rates
-        entry = (active, rates, full)
+        entry = (active, rates)
         self.rate_cache[key] = entry
         return entry
 
@@ -448,7 +412,6 @@ class _VectorEngine:
         ready = self.ready
         depth = self._ex.depth
         n = self.n
-        use_arrays = self.use_arrays
         rate_cache = self.rate_cache
 
         now = 0.0
@@ -501,24 +464,19 @@ class _VectorEngine:
                 if entry is None:
                     entry = self._rates_for(key)
                 dirty = False
-            active, rates, full = entry
+            active, rates = entry
 
             # Advance to the next phase completion (or next arrival,
             # whichever lets the first chunk admit sooner).  The server
             # defining dt is snapped to exactly 0 remaining after the
             # advance, so no float residue survives.
-            if use_arrays:
-                np.divide(remaining, full, out=self._dts)
-                snap = int(self._dts.argmin())
-                dt = float(self._dts[snap])
-            else:
-                dt = None
-                snap = -1
-                for pos, i in enumerate(active):
-                    cand = remaining[i] / rates[pos]
-                    if dt is None or cand < dt:
-                        dt = cand
-                        snap = i
+            dt = None
+            snap = -1
+            for pos, i in enumerate(active):
+                cand = remaining[i] / rates[pos]
+                if dt is None or cand < dt:
+                    dt = cand
+                    snap = i
             if dt < 0.0:
                 dt = 0.0
             if (
@@ -532,16 +490,9 @@ class _VectorEngine:
                     dt = cap
                     snap = -1
             now += dt
-            if use_arrays:
-                tmp = self._tmp
-                np.multiply(full, dt, out=tmp)
-                np.subtract(remaining, tmp, out=remaining)
-                np.multiply(self.active_f, dt, out=tmp)
-                np.add(busy, tmp, out=busy)
-            else:
-                for pos, i in enumerate(active):
-                    remaining[i] -= dt * rates[pos]
-                    busy[i] += dt
+            for pos, i in enumerate(active):
+                remaining[i] -= dt * rates[pos]
+                busy[i] += dt
             if snap >= 0:
                 remaining[snap] = 0.0
 
@@ -874,9 +825,9 @@ class SimulatedPipelineExecutor:
         """Simulate several independent windows back to back.
 
         All windows share this executor's engine state - preallocated
-        arrays, warm rate-signature cache, warm noise cache - so a
-        batch is cheaper than constructing an executor per window (the
-        pattern serving ticks and autotuner rounds used to follow).
+        per-server lists, warm rate-signature cache, warm noise cache -
+        so a batch is cheaper than constructing an executor per window
+        (the pattern serving ticks and autotuner rounds used to follow).
         """
         return simulate_batch([
             SimWindow(self, n, record_trace=record_trace,

@@ -25,6 +25,11 @@ under failure isolation (the run completes, the stall is reported in
 the :class:`~repro.runtime.faults.FaultReport`), pipeline unwind
 otherwise.  Stalls are never retried: a wedged kernel would only wedge
 again.
+
+The serving control plane reuses the same machinery without a thread of
+its own: :func:`run_ticks` steps a server or fleet tick by tick on the
+caller's thread, beating one heartbeat around each tick, while the
+watchdog scans from its thread - so a wedged tick is still cancelled.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.lock_order import checked_lock
-from repro.errors import PipelineError, StallError
+from repro.errors import PipelineError, ReproError, StallError
 from repro.obs.recorder import recorder
 from repro.runtime.faults import (
     DEADLINE_OVERRUN,
@@ -178,32 +183,6 @@ class Heartbeat:
             return True
 
 
-def supervised_thread(
-    name: str,
-    target: Callable[[], None],
-    heartbeat: Heartbeat,
-    watchdog: "Watchdog",
-) -> threading.Thread:
-    """The sanctioned factory for long-lived worker threads.
-
-    The ``UNSUPERVISED-THREAD`` lint rule confines thread creation to
-    the pipeline executor and this module, so every thread in the tree
-    is born supervised.  Long-lived workers outside the executor (the
-    serving layer's request loop) obtain theirs here: the factory
-    refuses to build a thread whose heartbeat the watchdog is not
-    scanning, which makes "spawned but unsupervised" unrepresentable.
-
-    The caller starts the returned (daemon) thread and remains
-    responsible for beating the heartbeat around each unit of work.
-    """
-    if heartbeat not in watchdog.heartbeats:
-        raise PipelineError(
-            f"thread {name!r} refused: its heartbeat is not registered "
-            "with the supervising watchdog"
-        )
-    return threading.Thread(target=target, name=name, daemon=True)
-
-
 class Watchdog:
     """Supervisor thread scanning dispatcher heartbeats.
 
@@ -296,3 +275,51 @@ class Watchdog:
                            f"{self.config.stall_timeout_s:g}s; "
                            "cancelling dispatch",
                 )
+
+
+def run_ticks(
+    steppable,
+    max_ticks: int,
+    heartbeat: Heartbeat,
+    watchdog: Watchdog,
+    timeout_s: Optional[float] = None,
+) -> Tuple[object, Optional[str], bool]:
+    """Drive a stepped run to completion on the calling thread.
+
+    ``steppable`` offers ``open_stepped()``, ``step(tick) -> drained``
+    and ``close_stepped(detail) -> report`` (the server and the fleet
+    router).  Ticks ``0 .. max_ticks - 1`` run until one reports the
+    run drained; ``heartbeat`` is beaten around each tick while
+    ``watchdog`` scans, so a tick that observes its cancellation raises
+    :class:`~repro.errors.StallError` and aborts the run.  ``timeout_s``
+    bounds host time and is checked between ticks.
+
+    The watchdog is always stopped, and the run is closed out unless an
+    exception other than :class:`~repro.errors.ReproError` escapes a
+    tick.  Returns ``(report, error, timed_out)``: ``error`` is the
+    message of the ``ReproError`` that aborted a tick, and
+    ``timed_out`` says the host deadline passed before the run drained.
+    """
+    steppable.open_stepped()
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    error: Optional[str] = None
+    timed_out = False
+    watchdog.start()
+    try:
+        for tick in range(max_ticks):
+            heartbeat.start_task(tick)
+            drained = steppable.step(tick)
+            heartbeat.idle()
+            if drained:
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                timed_out = True
+                break
+    except ReproError as exc:
+        error = str(exc)
+    finally:
+        watchdog.stop()
+    detail = error
+    if timed_out:
+        detail = f"did not drain within {timeout_s}s"
+    return steppable.close_stepped(detail), error, timed_out

@@ -125,7 +125,7 @@ class AdmissionController:
         placed or leaves, so most evaluations are memo hits.
 
         The memo is unsynchronized: every caller runs on the one
-        tick/loop thread that owns the shard.
+        thread that steps the shard.
         """
         # Always consulted, hit or miss: its counters are report bytes.
         plan = self.plan_cache.plan_for(spec.application)

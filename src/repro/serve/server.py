@@ -1,23 +1,27 @@
-"""The multi-tenant pipeline server: one supervised loop, many tenants.
+"""The multi-tenant pipeline server: one stepped core, many tenants.
 
 Architecture (deliberately boring, for determinism's sake):
 
-* **One request-loop thread** owns every mutable serving structure -
-  the tenant registry, the placement map, the backpressure queue.  It
-  is created through :func:`repro.runtime.watchdog.supervised_thread`
-  and beats a heartbeat every tick, so the same watchdog machinery
-  that guards kernel dispatches also catches a wedged control loop.
-* **Submissions cross threads** through a single lock-guarded inbox
-  (:func:`~repro.analysis.lock_order.checked_lock`, so the race
-  checker sees it).  Everything after the inbox is single-threaded.
+* **One lifecycle.**  A run is :meth:`PipelineServer.open_stepped`,
+  then :meth:`~PipelineServer.step` once per tick, then
+  :meth:`~PipelineServer.close_stepped`.  :meth:`~PipelineServer.run`
+  drives exactly that loop inline through
+  :func:`repro.runtime.watchdog.run_ticks`, beating a heartbeat around
+  each tick, so the same watchdog machinery that guards kernel
+  dispatches also cancels a wedged tick; a fleet shard steps its server
+  from the fleet's tick instead.
+* **One thread.**  Every mutable serving structure - the inbox, the
+  tenant registry, the placement map, the backpressure queue - is
+  touched only by the thread that steps the server, so none of it is
+  locked.
 * **Virtual time only.**  Tenant windows execute on the discrete-event
-  simulator; a *tick* of the serve loop runs one window for every
-  running tenant.  With all submissions made before :meth:`start` the
+  simulator; a *tick* runs one window for every running tenant.  The
   entire run - admissions, windows, reschedules, evictions, the final
-  report - is a pure function of (platform, specs, drifts, seed), which
-  is what makes the soak test's byte-determinism assertion possible.
+  report - is a pure function of (platform, specs, drifts, seed) and of
+  the tick each submission and drift lands on, which is what makes the
+  soak test's byte-determinism assertion possible.
 
-Per tick the loop: drains the inbox through the admission controller,
+Per tick the server: drains the inbox through the admission controller,
 retries the backpressure queue (a completed tenant may have freed the
 PUs a queued one needs), then serves one window per running tenant -
 each simulated under the :class:`~repro.soc.interference.ExternalLoad`
@@ -27,12 +31,10 @@ finally lets the online rescheduler react to drifted measurements.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional
 
-from repro.analysis.lock_order import checked_lock
 from repro.core.plan_cache import PlanCache
 from repro.errors import ReproError, ServeError
 from repro.obs.metrics import metrics
@@ -48,7 +50,7 @@ from repro.runtime.watchdog import (
     Heartbeat,
     Watchdog,
     WatchdogConfig,
-    supervised_thread,
+    run_ticks,
 )
 from repro.serve.admission import ADMIT, QUEUE, AdmissionController
 from repro.serve.metrics import ServeReport, TenantMetrics
@@ -188,7 +190,6 @@ class PipelineServer:
         self.ticks_executed = 0
 
         self._inbox: Deque[TenantSpec] = deque()
-        self._inbox_lock = checked_lock("serve.inbox-lock")
         self._queue: List[str] = []
         #: Tick each queued tenant entered the queue (age-out clock).
         self._queued_since: Dict[str, int] = {}
@@ -198,16 +199,8 @@ class PipelineServer:
         self._names = set()
 
         self._heartbeat = Heartbeat(0, "serve-loop")
-        self._watchdog = Watchdog(
-            [self._heartbeat],
-            WatchdogConfig(stall_timeout_s=self.config.stall_timeout_s),
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._done = threading.Event()
-        self._stop_requested = threading.Event()
-        self._started = False
-        self._stepping = False
-        self._loop_error: Optional[str] = None
+        #: "new" -> "open" (open_stepped) -> "closed" (close_stepped).
+        self._lifecycle = "new"
 
     # ------------------------------------------------------------------
     # Client surface
@@ -215,123 +208,97 @@ class PipelineServer:
     def submit(self, spec: TenantSpec) -> None:
         """Queue one job for admission.
 
-        Submissions made before :meth:`start` are processed in order on
-        the first tick, which keeps the whole run deterministic;
-        submitting to a live server is allowed but lands on whichever
-        tick the loop reaches next.
+        The inbox is drained in submission order on the next tick, so a
+        run is deterministic in which tick each submission lands on -
+        everything submitted before :meth:`run` lands on the first.
         """
-        if self._done.is_set():
+        if self._lifecycle == "closed":
             raise ServeError(
                 f"server has drained; cannot submit {spec.name!r}"
             )
-        with self._inbox_lock:
-            if spec.name in self._names:
-                raise ServeError(
-                    f"tenant name {spec.name!r} already submitted"
-                )
-            self._names.add(spec.name)
-            self._inbox.append(spec)
+        if spec.name in self._names:
+            raise ServeError(
+                f"tenant name {spec.name!r} already submitted"
+            )
+        self._names.add(spec.name)
+        self._inbox.append(spec)
 
     def inject_drift(self, drift: DriftSpec) -> None:
         """Register outside interference.
 
-        In loop mode this must happen before :meth:`start` so runs stay
-        reproducible.  In step mode (:meth:`open_stepped`) the caller
-        owns the clock, so drifts may land mid-run - the fleet chaos
-        injector uses this to degrade a live shard deterministically.
+        Allowed before the run or between ticks: the drift's own tick
+        range decides when it applies, so the run stays a pure function
+        of its inputs - the fleet chaos injector uses this to degrade a
+        live shard deterministically.
         """
-        if self._started and not self._stepping:
-            raise ServeError(
-                "inject_drift() must be called before start() so runs "
-                "stay reproducible"
-            )
         self._drifts.append(drift)
 
-    def start(self) -> None:
-        """Boot the supervised request loop."""
-        if self._started:
-            raise ServeError("server already started")
-        self._started = True
-        self._watchdog.start()
-        self._thread = supervised_thread(
-            "serve-loop", self._loop, self._heartbeat, self._watchdog
-        )
-        self._thread.start()
+    def run(self, timeout_s: Optional[float] = None) -> ServeReport:
+        """Serve until every tenant is terminal; return the report.
 
-    def drain(self, timeout_s: Optional[float] = None) -> ServeReport:
-        """Wait until every tenant reaches a terminal state, then stop
-        the supervision machinery and return the report."""
-        if not self._started or self._thread is None:
-            raise ServeError("server was never started")
-        if not self._done.wait(timeout_s):
-            self._stop_requested.set()
+        Steps ticks on the calling thread (:func:`run_ticks`) until the
+        server drains or ``max_ticks`` runs out, under a watchdog that
+        cancels a tick stuck past ``stall_timeout_s``.  ``timeout_s``
+        bounds host time, checked between ticks.  The run is closed out
+        either way; a tick error or a missed deadline raises
+        :class:`ServeError` afterwards.
+        """
+        watchdog = Watchdog(
+            [self._heartbeat],
+            WatchdogConfig(stall_timeout_s=self.config.stall_timeout_s),
+        )
+        report, error, timed_out = run_ticks(
+            self, self.config.max_ticks, self._heartbeat, watchdog,
+            timeout_s,
+        )
+        if timed_out:
             raise ServeError(
                 f"server did not drain within {timeout_s}s "
                 f"(tick {self.ticks_executed})"
             )
-        self._thread.join()
-        self._watchdog.stop()
-        if self._loop_error is not None:
-            raise ServeError(
-                f"serve loop aborted: {self._loop_error}"
-            )
-        return self.report()
-
-    def stop(self) -> None:
-        """Request an early stop and wait for the loop to exit."""
-        self._stop_requested.set()
-        if self._thread is not None:
-            self._done.wait()
-            self._thread.join()
-            self._watchdog.stop()
-
-    def run(self, timeout_s: Optional[float] = None) -> ServeReport:
-        """Convenience: :meth:`start` + :meth:`drain`."""
-        self.start()
-        return self.drain(timeout_s)
+        if error is not None:
+            raise ServeError(f"serve loop aborted: {error}")
+        return report
 
     # ------------------------------------------------------------------
-    # Step mode (fleet surface): the caller owns the clock
+    # The stepped core: the caller owns the clock
     # ------------------------------------------------------------------
-    # A fleet drives many shards in lockstep from ONE supervised loop
-    # thread; per-shard loop threads would make cross-shard event order
-    # scheduler-dependent and break byte-determinism.  In step mode the
-    # server never spawns its thread: the caller calls step(tick) once
-    # per fleet tick (always from the same thread) and close_stepped()
-    # to settle terminal states and collect the report.
+    # A fleet drives many shards in lockstep from its own tick; one
+    # clock per shard would make cross-shard event order depend on the
+    # thread scheduler and break byte-determinism.  The caller calls
+    # step(tick) once per tick (always from the same thread) and
+    # close_stepped() to settle terminal states and collect the report.
+
+    def _require_open(self, method: str) -> None:
+        if self._lifecycle != "open":
+            raise ServeError(f"{method}() requires open_stepped()")
 
     def open_stepped(self) -> None:
-        """Enter step mode instead of booting the loop thread."""
-        if self._started:
+        """Open the run for caller-driven ticking (once per server)."""
+        if self._lifecycle != "new":
             raise ServeError("server already started")
-        self._started = True
-        self._stepping = True
+        self._lifecycle = "open"
 
     def step(self, tick: int) -> bool:
         """Run one tick under the caller's clock; True when drained."""
-        if not self._stepping:
-            raise ServeError("step() requires open_stepped()")
+        self._require_open("step")
         self._tick(tick)
         self.ticks_executed += 1
         return self._drained()
 
     def close_stepped(self, detail: Optional[str] = None) -> ServeReport:
-        """Leave step mode: settle terminal states, return the report.
+        """Close the run: settle terminal states, return the report.
 
         ``detail`` (e.g. ``"shard crashed at tick 8"``) becomes the
         status detail of any tenant still live at close.
         """
-        if not self._stepping:
-            raise ServeError("close_stepped() requires open_stepped()")
-        if detail is not None:
-            self._loop_error = detail
-        self._stepping = False
-        self._close_out()
-        self._done.set()
+        self._require_open("close_stepped")
+        self._lifecycle = "closed"
+        self._close_out(detail)
         return self.report()
 
     def try_admit(self, spec: TenantSpec, tick: int):
-        """Synchronous admission (step mode only).
+        """Synchronous admission (open run only).
 
         Evaluates ``spec`` against the current placement and running
         set; on ADMIT the tenant is deployed immediately and serves its
@@ -339,8 +306,7 @@ class PipelineServer:
         leave no record behind - the fleet router owns the backlog, not
         the shard.  Returns the :class:`AdmissionDecision` either way.
         """
-        if not self._stepping:
-            raise ServeError("try_admit() requires open_stepped()")
+        self._require_open("try_admit")
         if spec.name in self._names:
             raise ServeError(
                 f"tenant name {spec.name!r} already known to this shard"
@@ -356,11 +322,10 @@ class PipelineServer:
         return decision
 
     def withdraw(self, name: str, reason: str, tick: int) -> TenantRecord:
-        """Remove a live tenant (step mode only): release its placement
+        """Remove a live tenant (open run only): release its placement
         and mark it EVICTED with ``reason``.  The fleet failover drain -
         the tenant's remaining windows continue on another shard."""
-        if not self._stepping:
-            raise ServeError("withdraw() requires open_stepped()")
+        self._require_open("withdraw")
         record = self.records.get(name)
         if record is None or record.done:
             raise ServeError(
@@ -380,8 +345,7 @@ class PipelineServer:
         """Un-admit a tenant placed via :meth:`try_admit` this tick (the
         fleet rollback primitive): the placement is released and the
         record erased as if the admission never happened."""
-        if not self._stepping:
-            raise ServeError("rescind() requires open_stepped()")
+        self._require_open("rescind")
         record = self.records.pop(name, None)
         if record is None:
             raise ServeError(f"cannot rescind {name!r}: unknown tenant")
@@ -441,49 +405,27 @@ class PipelineServer:
         }
 
     # ------------------------------------------------------------------
-    # Request loop (single thread; owns all serving state)
+    # Tick internals (one thread; owns all serving state)
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        try:
-            for tick in range(self.config.max_ticks):
-                if self._stop_requested.is_set():
-                    break
-                self._heartbeat.start_task(tick)
-                self._tick(tick)
-                self._heartbeat.idle()
-                self.ticks_executed = tick + 1
-                if self._drained():
-                    break
-        except ReproError as error:
-            self._loop_error = str(error)
-        finally:
-            self._close_out()
-            self._done.set()
-
     def _drained(self) -> bool:
-        with self._inbox_lock:
-            pending = len(self._inbox)
-        if pending:
+        if self._inbox:
             return False
         return all(record.done for record in self.records.values())
 
-    def _close_out(self) -> None:
-        """Terminal states for whatever the loop left behind."""
-        with self._inbox_lock:
-            leftovers = list(self._inbox)
-            self._inbox.clear()
-        for spec in leftovers:
-            record = TenantRecord(spec=spec, status=REJECTED,
-                                  status_detail="server stopped before "
-                                                "admission")
-            self.records[spec.name] = record
+    def _close_out(self, detail: Optional[str]) -> None:
+        """Terminal states for whatever the run left behind."""
+        while self._inbox:
+            spec = self._inbox.popleft()
+            self.records[spec.name] = TenantRecord(
+                spec=spec, status=REJECTED,
+                status_detail="server stopped before admission",
+            )
+        detail = detail or "tick budget exhausted before completion"
         for record in self.records.values():
             if record.done:
                 continue
             if record.status == RUNNING:
                 self.placement.release(record.name)
-            detail = (self._loop_error
-                      or "tick budget exhausted before completion")
             if record.status == QUEUED:
                 record.status = REJECTED
                 record.status_detail = (
@@ -521,7 +463,7 @@ class PipelineServer:
         # Mirror every timeline entry into the observability spine:
         # an instant on the tenant's trace track, a flight-recorder
         # event, and the admission/reschedule counters.  All happen on
-        # the single loop thread, so the emission order - and therefore
+        # the one stepping thread, so the emission order - and therefore
         # an exported trace's bytes - stays a function of the seed.
         trc = tracer()
         if trc.enabled:
@@ -544,11 +486,8 @@ class PipelineServer:
                             float(extra["latency_s"]))
 
     def _admit_new(self, tick: int) -> None:
-        while True:
-            with self._inbox_lock:
-                if not self._inbox:
-                    return
-                spec = self._inbox.popleft()
+        while self._inbox:
+            spec = self._inbox.popleft()
             record = TenantRecord(spec=spec)
             self.records[spec.name] = record
             self._decide(tick, record)

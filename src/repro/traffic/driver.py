@@ -115,7 +115,7 @@ class TrafficRunResult:
 
 
 class OpenLoopDriver:
-    """Feed a workload stream into a fleet's step mode."""
+    """Feed a workload stream into a fleet, one step per tick."""
 
     def __init__(
         self,

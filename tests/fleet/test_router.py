@@ -1,5 +1,7 @@
 """FleetRouter construction, submission, and small end-to-end runs."""
 
+import threading
+
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
@@ -21,6 +23,11 @@ def _spec(name, seed=11, **kwargs):
     kwargs.setdefault("windows", 2)
     kwargs.setdefault("window_tasks", 4)
     return TenantSpec(name=name, application=app, **kwargs)
+
+
+def _watchdog_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name == "watchdog"}
 
 
 def _two_shards():
@@ -66,20 +73,20 @@ class TestSubmission:
         with pytest.raises(FleetError, match="already submitted"):
             router.submit(_spec("t"))
 
-    def test_drain_without_start_rejected(self):
-        router = FleetRouter(_two_shards())
-        with pytest.raises(FleetError, match="never started"):
-            router.drain(timeout_s=1.0)
+    def test_reopen_after_close_rejected(self):
+        router = FleetRouter([ShardSpec("s0")],
+                             config=FleetConfig(max_ticks=2))
+        router.open_stepped()
+        router.close_stepped()
+        with pytest.raises(FleetError, match="already started"):
+            router.open_stepped()
 
     def test_double_start_rejected(self):
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
-        router.start()
-        try:
-            with pytest.raises(FleetError, match="already started"):
-                router.start()
-        finally:
-            router.drain(timeout_s=TIMEOUT_S)
+        router.run(timeout_s=TIMEOUT_S)
+        with pytest.raises(FleetError, match="already started"):
+            router.run(timeout_s=TIMEOUT_S)
 
     def test_submit_after_drain_rejected(self):
         router = FleetRouter([ShardSpec("s0")],
@@ -114,6 +121,23 @@ class TestSmallFleetRun:
             assert metric.windows_served == 2
             assert metric.p95_latency_s > 0.0
 
+    def test_timed_out_run_is_closed_out_without_leaking_the_watchdog(
+        self,
+    ):
+        before = _watchdog_threads()
+        router = FleetRouter(_two_shards(),
+                             config=FleetConfig(max_ticks=64))
+        for i in range(3):
+            router.submit(_spec(f"t{i}", seed=11 + i, windows=40))
+        # A zero budget expires after the first tick, deterministically.
+        with pytest.raises(FleetError, match="did not drain within"):
+            router.run(timeout_s=0.0)
+        assert _watchdog_threads() <= before
+        assert router.ticks_executed == 1
+        assert set(router.tenants) == {"t0", "t1", "t2"}
+        assert all(tenant.done for tenant in router.tenants.values())
+        assert not any(shard.alive for shard in router.shards)
+
     def test_tick_budget_exhaustion_fails_running_tenants(self):
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
@@ -125,7 +149,7 @@ class TestSmallFleetRun:
 
 
 class TestStepMode:
-    def test_stepped_run_matches_threaded_run(self):
+    def test_run_matches_hand_driven_step_loop(self):
         def build():
             router = FleetRouter(_two_shards(),
                                  config=FleetConfig(max_ticks=32))
@@ -133,7 +157,7 @@ class TestStepMode:
                 router.submit(_spec(f"t{i}", seed=11 + i))
             return router
 
-        threaded = build().run(timeout_s=TIMEOUT_S)
+        driven = build().run(timeout_s=TIMEOUT_S)
 
         stepped = build()
         stepped.open_stepped()
@@ -141,7 +165,23 @@ class TestStepMode:
             if stepped.step(tick):
                 break
         report = stepped.close_stepped()
-        assert report.to_dict() == threaded.to_dict()
+        assert report.to_dict() == driven.to_dict()
+
+    def test_run_ticks_on_the_calling_thread(self, monkeypatch):
+        # The fleet tick is what cProfile and the layer clocks must see.
+        ticked_on = []
+        original = FleetRouter._tick
+
+        def tick(self, tick):
+            ticked_on.append(threading.get_ident())
+            original(self, tick)
+
+        monkeypatch.setattr(FleetRouter, "_tick", tick)
+        router = FleetRouter(_two_shards())
+        router.submit(_spec("t"))
+        router.run(timeout_s=TIMEOUT_S)
+        assert ticked_on
+        assert set(ticked_on) == {threading.get_ident()}
 
     def test_step_requires_open_stepped(self):
         router = FleetRouter(_two_shards())
@@ -154,11 +194,9 @@ class TestStepMode:
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
         router.open_stepped()
-        try:
-            with pytest.raises(FleetError, match="already started"):
-                router.start()
-        finally:
-            router.close_stepped()
+        with pytest.raises(FleetError, match="already started"):
+            router.run(timeout_s=TIMEOUT_S)
+        router.close_stepped()
 
     def test_mid_run_submission_is_placed(self):
         # Open-loop ingress: a tenant submitted after ticking began is

@@ -180,42 +180,6 @@ class TestByteEquivalence:
         assert first == second == reference
 
 
-class TestArrayCore:
-    """The kernel's numpy core (wide pipelines) must match too; narrow
-    schedules take the scalar core, so force the array core's cutoff
-    down to cover it on the same cases."""
-
-    @pytest.fixture(autouse=True)
-    def force_array_core(self, monkeypatch):
-        monkeypatch.setattr(sim, "_SCALAR_CORE_MAX_SERVERS", 0)
-
-    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
-    def test_across_schedules(self, app, pixel, schedule):
-        assert_equivalent(app, pixel, SCHEDULES[schedule])
-
-    def test_everything_at_once(self, app, pixel):
-        assert_equivalent(
-            app, pixel, SCHEDULES["max-split"], n=25, depth=3,
-            arrival_period_s=0.002, external_load=EXTERNAL,
-        )
-
-    def test_wide_pipeline_uses_arrays_by_default(self, app, pixel,
-                                                  monkeypatch):
-        monkeypatch.setattr(sim, "_SCALAR_CORE_MAX_SERVERS", 8)
-        executor = SimulatedPipelineExecutor(
-            app, SCHEDULES["max-split"], pixel, engine="vector"
-        )
-        executor.run(5)
-        assert executor._vector_engine is not None
-        assert not executor._vector_engine.use_arrays  # 4 servers
-        wide = SimulatedPipelineExecutor(
-            app, SCHEDULES["max-split"], pixel, engine="vector"
-        )
-        monkeypatch.setattr(sim, "_SCALAR_CORE_MAX_SERVERS", 2)
-        wide.run(5)
-        assert wide._vector_engine.use_arrays
-
-
 class TestBatching:
     def test_run_batch_matches_sequential_runs(self, app, pixel):
         batch = SimulatedPipelineExecutor(

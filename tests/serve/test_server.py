@@ -1,21 +1,31 @@
 """PipelineServer lifecycle: admission, queue retry, drain, close-out."""
 
+import threading
+
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.errors import ServeError
 from repro.serve import (
     COMPLETED,
+    FAILED,
     REJECTED,
     DriftSpec,
     PipelineServer,
     ServerConfig,
+    SoakScenario,
     TenantSpec,
+    build_soak_server,
 )
 
 
 def make_app(seed):
     return build_synthetic_application(seed=seed, stage_count=3)
+
+
+def _watchdog_threads():
+    return {thread for thread in threading.enumerate()
+            if thread.name == "watchdog"}
 
 
 def make_server(platform, **config_kwargs):
@@ -59,20 +69,56 @@ class TestValidation:
             server.submit(TenantSpec(name="a",
                                      application=make_app(2)))
 
-    def test_drift_after_start_rejected(self, platform):
+    def test_drift_between_steps_accepted(self, platform):
         server = make_server(platform)
         server.submit(TenantSpec(name="a", application=make_app(1),
-                                 windows=1))
-        server.start()
-        try:
-            with pytest.raises(ServeError, match="before start"):
-                server.inject_drift(DriftSpec(start_tick=1))
-        finally:
-            server.drain(timeout_s=120.0)
+                                 windows=3))
+        server.open_stepped()
+        server.step(0)
+        server.inject_drift(DriftSpec(start_tick=1, busy={"big": 0.9}))
+        server.step(1)
+        report = server.close_stepped()
+        windows = server.records["a"].history
+        assert windows[0].external_busy_classes == []
+        assert windows[1].external_busy_classes == ["big"]
+        assert report.tenants["a"].windows_served == 2
 
-    def test_drain_requires_start(self, platform):
-        with pytest.raises(ServeError, match="never started"):
-            make_server(platform).drain(timeout_s=1.0)
+    def test_second_run_rejected(self, platform):
+        server = make_server(platform)
+        server.run(timeout_s=120.0)
+        with pytest.raises(ServeError, match="already started"):
+            server.run(timeout_s=120.0)
+        with pytest.raises(ServeError, match="already started"):
+            server.open_stepped()
+
+    def test_timed_out_run_is_closed_out_without_leaking_the_watchdog(
+        self,
+    ):
+        before = _watchdog_threads()
+        server = build_soak_server(SoakScenario(windows=40))
+        # A zero budget expires after the first tick, deterministically.
+        with pytest.raises(ServeError, match="did not drain within"):
+            server.run(timeout_s=0.0)
+        assert _watchdog_threads() <= before
+        assert server.ticks_executed == 1
+        assert server.records
+        assert all(record.done for record in server.records.values())
+
+    def test_wedged_tick_is_cancelled_by_the_watchdog(
+        self, platform, monkeypatch,
+    ):
+        def wedge(self, tick):
+            self._heartbeat.sleep(60.0)  # returns early only if cancelled
+
+        monkeypatch.setattr(PipelineServer, "_serve_windows", wedge)
+        server = make_server(platform, stall_timeout_s=0.05)
+        server.submit(TenantSpec(name="a", application=make_app(1)))
+        with pytest.raises(ServeError,
+                           match="serve loop aborted: .*watchdog"):
+            server.run(timeout_s=120.0)
+        record = server.records["a"]
+        assert record.status == FAILED
+        assert "cancelled by the watchdog" in record.status_detail
 
     def test_submit_after_drain_rejected(self, platform):
         server = make_server(platform)

@@ -1,9 +1,12 @@
-"""Step mode: the externally-clocked server surface the fleet drives.
+"""The stepped core: the externally-clocked server surface.
 
-In step mode the server never spawns its loop thread - the caller owns
-the clock - so these tests run every tick inline and can observe each
-admission, withdrawal, and rollback synchronously.
+Every run is ``open_stepped`` / ``step`` / ``close_stepped`` on the
+caller's thread - ``run()`` included - so these tests run every tick
+inline and can observe each admission, withdrawal, and rollback
+synchronously.
 """
+
+import threading
 
 import pytest
 
@@ -59,8 +62,24 @@ class TestLifecycle:
         assert (server.records["t"].status_detail
                 == "shard crashed at tick 1")
 
-    def test_step_mode_never_spawns_the_loop_thread(self, server):
-        assert server._thread is None
+    def test_run_ticks_on_the_calling_thread(self, platform,
+                                              plan_cache, app,
+                                              monkeypatch):
+        # A profiler attached to the caller must see every tick.
+        ticked_on = []
+        original = PipelineServer._tick
+
+        def tick(self, tick):
+            ticked_on.append(threading.get_ident())
+            original(self, tick)
+
+        monkeypatch.setattr(PipelineServer, "_tick", tick)
+        server = PipelineServer(platform, seed=5, config=CONFIG,
+                                plan_cache=plan_cache)
+        server.submit(_spec(app))
+        server.run(timeout_s=120.0)
+        assert ticked_on
+        assert set(ticked_on) == {threading.get_ident()}
 
 
 class TestGuards:
