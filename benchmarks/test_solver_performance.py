@@ -1,5 +1,6 @@
-"""Benchmark for the solver's per-invocation cost (paper section 3.3:
-each z3 invocation on the Pixel/AlexNet case completes in < 50 ms)."""
+"""Benchmark for the schedule search's per-invocation cost (paper
+section 3.3: each z3 invocation on the Pixel/AlexNet case completes in
+< 50 ms)."""
 
 import pytest
 
@@ -26,9 +27,10 @@ def test_solver_single_invocation_under_paper_budget(benchmark, paper_case):
 
     result = benchmark(solve_level1)
     assert result.gapness_s >= 0.0
-    # Paper: < 50 ms per invocation on a commodity laptop.  Allow head
-    # room for slow CI machines.
-    assert benchmark.stats["mean"] < 0.25
+    # Paper: < 50 ms per invocation on a commodity laptop.  Level 1
+    # alone (enumerate the space, then one scan) takes ~3 ms here, so
+    # the paper's own figure leaves ample head room for slow CI machines.
+    assert benchmark.stats["mean"] < 0.05
 
 
 def test_full_k20_campaign(benchmark, paper_case):
@@ -42,4 +44,5 @@ def test_full_k20_campaign(benchmark, paper_case):
     mean_invocation = result.solver_wall_s / result.solver_invocations
     print(f"\nmean solver invocation: {mean_invocation * 1e3:.1f} ms "
           f"over {result.solver_invocations} invocations")
-    assert mean_invocation < 0.25
+    # ~0.2 ms per invocation (one enumeration shared by 22 scans).
+    assert mean_invocation < 0.02

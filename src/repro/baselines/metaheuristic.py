@@ -3,8 +3,8 @@
 The paper's related work cites metaheuristic static schedulers (Akbari &
 Rashidi's cuckoo-search MOSCOA, [2]).  This module provides a simple but
 competent representative - random-restart stochastic local search over
-the contiguous-schedule space - so the exact constraint-solver approach
-can be compared against the metaheuristic alternative on equal terms
+the contiguous-schedule space - so the exact schedule search can be
+compared against the metaheuristic alternative on equal terms
 (same profiling table, same objective, same candidate-set interface).
 
 Moves are schedule-space native: shift a chunk boundary by one stage,

@@ -3,7 +3,7 @@
 Two comparison pipelines isolate BetterTogether's two ideas:
 
 * :func:`latency_only_candidates` (Fig. 5b) keeps the interference-aware
-  profiling table but drops the utilization (gapness) filter: the solver
+  profiling table but drops the utilization (gapness) filter: the optimizer
   minimizes predicted latency directly.  Its top schedules may idle PUs,
   so the co-run conditions no longer match the ones the table was
   collected under.

@@ -106,7 +106,7 @@ class BetterTogether:
             (default: all K, like the paper's 20-candidate campaign).
         eval_tasks: Tasks streamed per autotuning measurement.
         time_budget_s: Optional wall-clock budget for the optimizer's
-            solver phase; expiry degrades to the greedy best-PU
+            schedule search (levels 1 + 2); expiry degrades to the greedy best-PU
             schedule instead of raising.
     """
 

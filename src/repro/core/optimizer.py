@@ -1,11 +1,12 @@
 """BT-Optimizer (paper section 3.3): three-level schedule optimization.
 
-Level 1 - *Utilization*: encode the assignment problem as constraints
-(C1 exactly-one-PU-per-stage, C2 contiguity, optional C3 per-chunk runtime
-bounds) and minimize **gapness** ``T_max - T_min`` (objective O1).  The
-key insight: low-gapness schedules keep every PU busy, which matches the
-co-run conditions the interference-aware profiling table was collected
-under, so their predictions are trustworthy.
+Level 1 - *Utilization*: among the assignments that satisfy C1
+(exactly one PU per stage), C2 (contiguity) and the optional C3
+per-chunk runtime bounds, minimize **gapness** ``T_max - T_min``
+(objective O1).  The key insight: low-gapness schedules keep every PU
+busy, which matches the co-run conditions the interference-aware
+profiling table was collected under, so their predictions are
+trustworthy.
 
 Level 2 - *Latency*: enumerate ``K`` diverse candidates by repeatedly
 solving for minimum predicted latency among schedules within the gapness
@@ -16,9 +17,18 @@ Candidates emerge sorted by predicted latency and cluster into
 Level 3 - *Autotuning* lives in :mod:`repro.core.autotuner`: the top
 candidates are actually executed and the measured best wins.
 
-The constraint encoding targets :mod:`repro.solver` (the z3 stand-in);
-solver invocations on paper-scale instances (N=9, M=4) complete well
-under the paper's 50 ms figure.
+The paper hands levels 1 and 2 to z3.  Under C1 + C2 a schedule splits
+the stage chain into at most M contiguous chunks on distinct PU classes,
+so the whole space is small (2,116 schedules at the paper's N=9, M=4).
+Each :meth:`BTOptimizer.optimize` call enumerates it once, in
+lexicographic order of the assignment tuple, and every solver invocation
+is a linear scan that keeps the first optimum it meets: a later schedule
+wins only when better by more than 1e-12.  A depth-first branch-and-bound
+over stage-major ``x[i][c]`` booleans, trying true first, visits
+solutions in that same order and, with admissible bounds, accepts
+exactly the same ones, so the scan returns what such a solver returns,
+ties included.  C5-ell blocking removes the picked schedule from the
+space.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import Schedule, validate_schedule
@@ -34,7 +44,6 @@ from repro.core.stage import Application
 from repro.errors import SchedulingError, SolverTimeoutError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
-from repro.solver import Model, Solver
 
 #: Number of diverse candidates level 2 produces (paper: K = 20).
 DEFAULT_K = 20
@@ -42,6 +51,10 @@ DEFAULT_K = 20
 #: optimal T_max.  Schedules above the threshold are filtered out as
 #: "underutilizing the device".
 DEFAULT_GAP_SLACK = 0.10
+
+#: One schedule of the search space: (PU column index per stage,
+#: predicted latency T_max, gapness T_max - T_min).
+_Entry = Tuple[Tuple[int, ...], float, float]
 
 
 @dataclass(frozen=True)
@@ -108,12 +121,10 @@ class BTOptimizer:
         max_chunk_time_s / min_chunk_time_s: Optional hard per-chunk
             bounds (constraints C3a / C3b).
         time_budget_s: Optional wall-clock budget across *all* solver
-            invocations of one :meth:`optimize` call.  When it expires,
-            the result degrades gracefully to the greedy best-PU
-            schedule (``result.degraded`` is True) instead of raising.
-        max_decisions: Optional per-invocation solver decision budget,
-            forwarded to :class:`repro.solver.Solver`; exhaustion
-            triggers the same greedy degradation.
+            invocations of one :meth:`optimize` call, checked before
+            each one.  When it expires, the result degrades gracefully
+            to the greedy best-PU schedule (``result.degraded`` is True)
+            instead of raising.
     """
 
     def __init__(
@@ -126,7 +137,6 @@ class BTOptimizer:
         max_chunk_time_s: Optional[float] = None,
         min_chunk_time_s: Optional[float] = None,
         time_budget_s: Optional[float] = None,
-        max_decisions: Optional[int] = None,
     ):
         if k < 1:
             raise SchedulingError("k must be >= 1")
@@ -149,7 +159,6 @@ class BTOptimizer:
         self.max_chunk_time_s = max_chunk_time_s
         self.min_chunk_time_s = min_chunk_time_s
         self.time_budget_s = time_budget_s
-        self.max_decisions = max_decisions
         self._deadline: Optional[float] = None
         # Dense latency matrix for fast objective evaluation.
         self._lat = [
@@ -159,58 +168,91 @@ class BTOptimizer:
         self.solver_invocations = 0
         self.solver_wall_s = 0.0
 
-    def _note_solve(self, solver: Solver) -> None:
-        """Account one solver invocation (and mirror it into metrics)."""
+    # ------------------------------------------------------------------
+    # Schedule space
+    # ------------------------------------------------------------------
+    def _schedule_space(self) -> List[_Entry]:
+        """Every C1 + C2 assignment that passes C3a, in lexicographic
+        order of the assignment tuple (the search order; see the module
+        docstring).
+
+        C3a keeps a chunk sum up to ``max_chunk_time_s + 1e-12``, the
+        tolerance of the encoding's pseudo-boolean bound; a sum in that
+        last 1e-12 stays in the space but scores ``inf`` (see
+        :meth:`_entry`).  Its wall time counts toward ``solver_wall_s``.
+        """
+        start = time.perf_counter()
+        n = self.application.num_stages
+        m = len(self.pu_classes)
+        limit = (
+            math.inf if self.max_chunk_time_s is None
+            else self.max_chunk_time_s + 1e-12
+        )
+        space: List[_Entry] = []
+
+        def extend(i: int, assignment: List[int], sums: List[float]) -> None:
+            if i == n:
+                space.append(self._entry(tuple(assignment), sums))
+                return
+            for c in range(m):
+                if assignment and c == assignment[-1]:
+                    grown = sums[:-1] + [sums[-1] + self._lat[i][c]]
+                elif c not in assignment:
+                    # 0.0 + x: the same float ops as _chunk_sums.
+                    grown = sums + [0.0 + self._lat[i][c]]
+                else:
+                    continue  # C2: a closed chunk's PU never comes back
+                if grown[-1] > limit:
+                    continue  # C3a
+                extend(i + 1, assignment + [c], grown)
+
+        extend(0, [], [])
+        self.solver_wall_s += time.perf_counter() - start
+        return space
+
+    def _entry(self, assignment: Tuple[int, ...],
+               sums: List[float]) -> _Entry:
+        """``(assignment, latency, gapness)``; both scores are ``inf``
+        when the chunk sums miss the C3 bounds."""
+        latency, shortest = max(sums), min(sums)
+        if (
+            self.max_chunk_time_s is not None
+            and latency > self.max_chunk_time_s
+        ) or (
+            self.min_chunk_time_s is not None
+            and shortest < self.min_chunk_time_s
+        ):
+            return assignment, math.inf, math.inf
+        return assignment, latency, latency - shortest
+
+    def _scan(self, space: Sequence[_Entry],
+              score: Callable[[_Entry], float]
+              ) -> Optional[Tuple[int, float]]:
+        """One solver invocation: ``(index, score)`` of the first entry
+        of ``space`` with the minimum score, or ``None`` when ``space``
+        is empty.  A later entry replaces the incumbent only when it is
+        better by more than 1e-12 - the branch-and-bound accept rule, so
+        ties keep the earliest schedule in search order."""
+        if (
+            self._deadline is not None
+            and time.perf_counter() >= self._deadline
+        ):
+            raise SolverTimeoutError(
+                f"optimization wall-clock budget exhausted "
+                f"({self.time_budget_s}s)"
+            )
+        start = time.perf_counter()
+        best: Optional[Tuple[int, float]] = None
+        for index, entry in enumerate(space):
+            value = score(entry)
+            if best is None or value < best[1] - 1e-12:
+                best = (index, value)
         self.solver_invocations += 1
-        self.solver_wall_s += solver.stats.wall_seconds
+        self.solver_wall_s += time.perf_counter() - start
         reg = metrics()
         if reg.enabled:
             reg.counter("solver.invocations")
-            reg.counter("solver.nodes", solver.stats.decisions)
-            reg.counter("solver.conflicts", solver.stats.conflicts)
-            reg.counter("solver.propagations", solver.stats.propagations)
-
-    # ------------------------------------------------------------------
-    # Constraint encoding
-    # ------------------------------------------------------------------
-    def _build_model(self) -> Tuple[Model, List[List]]:
-        """Encode C1 + C2 (+ optional C3) over x[i][c] booleans."""
-        model = Model()
-        n = self.application.num_stages
-        m = len(self.pu_classes)
-        x = [
-            [model.new_bool(f"x_{i}_{c}") for c in range(m)]
-            for i in range(n)
-        ]
-        # C1: exactly one PU per stage.
-        for i in range(n):
-            model.add_exactly_one(x[i])
-        # C2: contiguity - (x[i,c] & x[k,c]) => x[j,c] for i < j < k.
-        for c in range(m):
-            for i in range(n):
-                for k in range(i + 2, n):
-                    for j in range(i + 1, k):
-                        model.add_implication([x[i][c], x[k][c]], x[j][c])
-        # C3a: per-chunk upper bound via pseudo-boolean sums per PU (a
-        # chunk's runtime is the sum of that PU's assigned stages).
-        if self.max_chunk_time_s is not None:
-            for c in range(m):
-                model.add_linear_le(
-                    [(x[i][c], self._lat[i][c]) for i in range(n)],
-                    self.max_chunk_time_s,
-                )
-        return model, x
-
-    def _decode(self, values: Sequence[int],
-                x: List[List]) -> Tuple[int, ...]:
-        """Assignment (PU column index per stage) from solver values."""
-        assignment = []
-        for row in x:
-            for c, var in enumerate(row):
-                if values[var.index] == 1:
-                    assignment.append(c)
-                    break
-        return tuple(assignment)
+        return best
 
     def _chunk_sums(self, assignment: Tuple[int, ...]) -> List[float]:
         sums: List[float] = []
@@ -229,123 +271,40 @@ class BTOptimizer:
     def _latency(self, assignment: Tuple[int, ...]) -> float:
         return max(self._chunk_sums(assignment))
 
-    def _meets_chunk_bounds(self, assignment: Tuple[int, ...]) -> bool:
-        sums = self._chunk_sums(assignment)
-        if self.max_chunk_time_s is not None and max(sums) > self.max_chunk_time_s:
-            return False
-        if self.min_chunk_time_s is not None and min(sums) < self.min_chunk_time_s:
-            return False
-        return True
-
     def _to_schedule(self, assignment: Tuple[int, ...]) -> Schedule:
         return Schedule.from_assignments(
             [self.pu_classes[c] for c in assignment]
         )
-
-    def _make_solver(self, model: Model) -> Solver:
-        """A solver honouring whatever remains of the wall budget."""
-        remaining = None
-        if self._deadline is not None:
-            remaining = self._deadline - time.perf_counter()
-            if remaining <= 0:
-                raise SolverTimeoutError(
-                    f"optimization wall-clock budget exhausted "
-                    f"({self.time_budget_s}s)"
-                )
-        return Solver(model, max_decisions=self.max_decisions,
-                      time_budget_s=remaining)
-
-    # ------------------------------------------------------------------
-    # Branch-and-bound lower bounds
-    #
-    # The solver branches stage-major, so a partial assignment is a
-    # prefix of decided stages.  Every chunk in that prefix except the
-    # last is *closed*: contiguity (C2) forbids its PU from reappearing,
-    # so its runtime is final.  That makes the bounds below admissible
-    # and keeps each solver invocation well under the paper's 50 ms.
-    # ------------------------------------------------------------------
-    def _closed_chunk_sums(self, values: Sequence[int],
-                           x: List[List]) -> List[float]:
-        """Chunk runtimes finalized by the decided prefix."""
-        sums: List[float] = []
-        previous = None
-        for i, row in enumerate(x):
-            decided = None
-            for c, var in enumerate(row):
-                if values[var.index] == 1:
-                    decided = c
-                    break
-            if decided is None:
-                break
-            if decided != previous:
-                sums.append(0.0)
-                previous = decided
-            sums[-1] += self._lat[i][decided]
-        if sums:
-            sums.pop()  # the last prefix chunk may still grow
-        return sums
-
-    def _latency_lower_bound(self, x: List[List]):
-        def bound(values: Sequence[int]) -> float:
-            closed = self._closed_chunk_sums(values, x)
-            return max(closed) if closed else 0.0
-        return bound
-
-    def _gapness_lower_bound(self, x: List[List]):
-        def bound(values: Sequence[int]) -> float:
-            closed = self._closed_chunk_sums(values, x)
-            if len(closed) < 2:
-                return 0.0
-            # Any completion's T_max >= max(closed) and T_min <= min(closed).
-            return max(closed) - min(closed)
-        return bound
 
     # ------------------------------------------------------------------
     # Level 1: utilization (gapness) optimum
     # ------------------------------------------------------------------
     def optimize_utilization(self) -> ScheduleCandidate:
         """Solve ``min (T_max - T_min)`` (objective O1)."""
+        return self._optimize_utilization(self._schedule_space())
+
+    def _optimize_utilization(
+        self, space: Sequence[_Entry]
+    ) -> ScheduleCandidate:
         with tracer().span("solver.utilization", "solver",
                            application=self.application.name):
-            return self._optimize_utilization_inner()
-
-    def _optimize_utilization_inner(self) -> ScheduleCandidate:
-        model, x = self._build_model()
-
-        def objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values, x)
-            if not self._meets_chunk_bounds(assignment):
-                return math.inf
-            return self._gapness(assignment)
-
-        solver = self._make_solver(model)
-        result = solver.minimize(
-            objective, lower_bound=self._gapness_lower_bound(x)
-        )
-        self._note_solve(solver)
-        if result is None:
-            raise SchedulingError("utilization optimization is infeasible")
-        solution, gap = result
-        if math.isinf(gap):
-            raise SchedulingError(
-                "no schedule satisfies the per-chunk runtime bounds (C3)"
+            found = self._scan(space, lambda entry: entry[2])
+            if found is None:
+                raise SchedulingError(
+                    "utilization optimization is infeasible"
+                )
+            index, gap = found
+            if math.isinf(gap):
+                raise SchedulingError(
+                    "no schedule satisfies the per-chunk runtime bounds (C3)"
+                )
+            assignment, latency, _ = space[index]
+            return ScheduleCandidate(
+                rank=0,
+                schedule=self._to_schedule(assignment),
+                predicted_latency_s=latency,
+                gapness_s=gap,
             )
-        assignment = self._decode_solution(solution, x)
-        return ScheduleCandidate(
-            rank=0,
-            schedule=self._to_schedule(assignment),
-            predicted_latency_s=self._latency(assignment),
-            gapness_s=gap,
-        )
-
-    def _decode_solution(self, solution, x) -> Tuple[int, ...]:
-        assignment = []
-        for row in x:
-            for c, var in enumerate(row):
-                if solution[var]:
-                    assignment.append(c)
-                    break
-        return tuple(assignment)
 
     # ------------------------------------------------------------------
     # Greedy fallback (degraded mode)
@@ -419,15 +378,15 @@ class BTOptimizer:
         )
 
     # ------------------------------------------------------------------
-    # Level 2: latency, K diverse candidates via blocking clauses
+    # Level 2: latency, K diverse candidates via C5-ell blocking
     # ------------------------------------------------------------------
     def optimize(self) -> OptimizationResult:
         """Run levels 1 and 2; candidates sorted by predicted latency.
 
-        With a ``time_budget_s`` (or ``max_decisions``), budget expiry
-        degrades to :meth:`greedy_assignment` instead of raising; the
-        result is flagged ``degraded``.  Every produced candidate is
-        validated (C1/C2/C3/availability) before it is returned.
+        With a ``time_budget_s``, budget expiry degrades to
+        :meth:`greedy_assignment` instead of raising; the result is
+        flagged ``degraded``.  Every produced candidate is validated
+        (C1/C2/C3/availability) before it is returned.
         """
         self._deadline = (
             None if self.time_budget_s is None
@@ -461,32 +420,24 @@ class BTOptimizer:
     def _optimize_exact(
         self, partial: List[ScheduleCandidate]
     ) -> OptimizationResult:
-        """The solver-backed levels 1 + 2; appends each candidate to
-        ``partial`` as found so a budget expiry can salvage them."""
-        utilization = self.optimize_utilization()
+        """Levels 1 + 2 over one enumeration of the schedule space;
+        appends each candidate to ``partial`` as found so a budget
+        expiry can salvage them."""
+        space = self._schedule_space()
+        utilization = self._optimize_utilization(space)
         threshold = (
             utilization.gapness_s
             + self.gap_slack * utilization.predicted_latency_s
         )
+        cut = threshold + 1e-12
 
-        model, x = self._build_model()
+        def filtered_objective(entry: _Entry) -> float:
+            return math.inf if entry[2] > cut else entry[1]
 
-        def filtered_objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values, x)
-            if not self._meets_chunk_bounds(assignment):
-                return math.inf
-            if self._gapness(assignment) > threshold + 1e-12:
-                return math.inf
-            return self._latency(assignment)
-
-        def unfiltered_objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values, x)
-            if not self._meets_chunk_bounds(assignment):
-                return math.inf
-            return self._latency(assignment)
+        def unfiltered_objective(entry: _Entry) -> float:
+            return entry[1]
 
         candidates = partial  # shared so budget expiry can salvage them
-        latency_bound = self._latency_lower_bound(x)
         # Phase 2a enumerates within the utilization threshold; when the
         # filtered space runs dry before K candidates exist (small
         # platforms like the Jetson have only ~2(N-1)+2 contiguous
@@ -495,38 +446,27 @@ class BTOptimizer:
         objective = filtered_objective
         trc = tracer()
         for rank in range(self.k):
-            # One span per blocking-clause round: how each candidate was
-            # found (filtered or top-up) and what it cost the solver.
+            # One span per blocking round: how each candidate was found
+            # (filtered or top-up) and what it cost the search.
             with trc.span("solver.candidate_round", "solver", rank=rank):
-                solver = self._make_solver(model)
-                result = solver.minimize(objective,
-                                         lower_bound=latency_bound)
-                self._note_solve(solver)
-                exhausted = result is None or math.isinf(result[1])
-                if exhausted:
+                found = self._scan(space, objective)
+                if found is None or math.isinf(found[1]):
                     if objective is unfiltered_objective:
-                        break  # blocking clauses exhausted the space
+                        break  # blocking exhausted the space
                     objective = unfiltered_objective
-                    solver = self._make_solver(model)
-                    result = solver.minimize(
-                        objective, lower_bound=latency_bound
-                    )
-                    self._note_solve(solver)
-                    if result is None or math.isinf(result[1]):
+                    found = self._scan(space, objective)
+                    if found is None or math.isinf(found[1]):
                         break
-                solution, latency = result
-                assignment = self._decode_solution(solution, x)
+                index, latency = found
+                # C5-ell: forbid this exact assignment.
+                assignment, _, gapness = space.pop(index)
                 candidates.append(
                     ScheduleCandidate(
                         rank=rank,
                         schedule=self._to_schedule(assignment),
                         predicted_latency_s=latency,
-                        gapness_s=self._gapness(assignment),
+                        gapness_s=gapness,
                     )
-                )
-                # C5-ell: forbid this exact assignment.
-                model.forbid_assignment(
-                    [x[i][c] for i, c in enumerate(assignment)]
                 )
         # The paper sorts the candidate set by predicted latency (T_max)
         # at the end; the unfiltered top-up phase can otherwise leave a

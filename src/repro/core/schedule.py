@@ -272,7 +272,7 @@ def enumerate_schedules(num_stages: int,
                         pu_classes: Sequence[str]) -> List[Schedule]:
     """Every contiguity-respecting schedule (exhaustive reference).
 
-    Used by tests to validate the solver-based optimizer: a schedule is a
+    Used by tests to cross-check the optimizer's search: a schedule is a
     composition of the stage sequence into k contiguous chunks labelled
     with k distinct PU classes, so the space is small even though the raw
     assignment space is ``M^N`` (the paper's 262K example for N=9, M=4).

@@ -25,19 +25,11 @@ class ReproError(Exception):
 
 
 class SolverError(ReproError):
-    """Base class for constraint-solver errors."""
-
-
-class InfeasibleError(SolverError):
-    """Raised when a constraint model has no satisfying assignment."""
+    """Base class for schedule-search errors."""
 
 
 class SolverTimeoutError(SolverError):
-    """Raised when the solver exhausts its node or time budget."""
-
-
-class ModellingError(SolverError):
-    """Raised for ill-formed constraint models (e.g. unknown variables)."""
+    """Raised when the schedule search exhausts its wall-clock budget."""
 
 
 class PlatformError(ReproError):

@@ -12,8 +12,7 @@ from repro.core import BetterTogether
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import ProfilingTable
 from repro.core.stage import Application, Stage
-from repro.errors import SchedulingError, SolverTimeoutError
-from repro.solver import Model, Solver
+from repro.errors import SchedulingError
 from repro.soc import WorkProfile, get_platform
 
 
@@ -47,39 +46,6 @@ def case():
         "gpu": [2.0, 1.0, 1.0, 2.0],
     })
     return app, table
-
-
-class TestSolverBudget:
-    def build_wide_model(self):
-        """Many free booleans: enumeration visits 2^24 assignments."""
-        model = Model()
-        variables = [model.new_bool(f"b{i}") for i in range(24)]
-        model.add_clause(variables)
-        return model
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            Solver(Model(), time_budget_s=0.0)
-        with pytest.raises(ValueError):
-            Solver(Model(), time_budget_s=-1.0)
-
-    def test_enumerate_stops_at_deadline(self):
-        solver = Solver(self.build_wide_model(), time_budget_s=0.05)
-        with pytest.raises(SolverTimeoutError, match="wall-clock"):
-            for _ in solver.enumerate():
-                pass
-
-    def test_minimize_stops_at_deadline(self):
-        model = self.build_wide_model()
-        solver = Solver(model, time_budget_s=0.05)
-        with pytest.raises(SolverTimeoutError):
-            solver.minimize(lambda values: sum(values))
-
-    def test_no_budget_is_unlimited(self):
-        model = Model()
-        a = model.new_bool("a")
-        model.add_clause([a])
-        assert Solver(model).solve() is not None
 
 
 class TestGreedyFallback:
@@ -117,12 +83,6 @@ class TestGreedyFallback:
         assert not budgeted.degraded
         assert ([c.schedule.assignments for c in budgeted.candidates]
                 == [c.schedule.assignments for c in unbudgeted.candidates])
-
-    def test_decision_budget_also_degrades(self, case):
-        app, table = case
-        result = BTOptimizer(app, table, k=4,
-                             max_decisions=1).optimize()
-        assert result.degraded
 
     def test_degraded_candidates_rank_by_latency(self, case):
         app, table = case

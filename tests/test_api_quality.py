@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.kernels",
     "repro.runtime",
     "repro.soc",
-    "repro.solver",
 ]
 
 

@@ -8,8 +8,7 @@ from repro.serialization import SerializationError
 
 class TestHierarchy:
     @pytest.mark.parametrize("exc", [
-        errors.SolverError, errors.InfeasibleError,
-        errors.SolverTimeoutError, errors.ModellingError,
+        errors.SolverError, errors.SolverTimeoutError,
         errors.PlatformError, errors.KernelError,
         errors.SchedulingError, errors.ProfilingError,
         errors.PipelineError, errors.QueueClosedError,
@@ -20,9 +19,7 @@ class TestHierarchy:
         assert issubclass(exc, errors.ReproError)
 
     def test_solver_family(self):
-        assert issubclass(errors.InfeasibleError, errors.SolverError)
         assert issubclass(errors.SolverTimeoutError, errors.SolverError)
-        assert issubclass(errors.ModellingError, errors.SolverError)
 
     def test_queue_closed_is_pipeline_error(self):
         assert issubclass(errors.QueueClosedError, errors.PipelineError)
