@@ -5,11 +5,12 @@ Two engines implement the event loop (``REPRO_SIM_ENGINE``): the
 default ``vector`` batch-event kernel and the scalar ``reference``
 oracle.  This module times both on the 300-task AlexNet-sparse case,
 times ``run_batch`` against the construct-an-executor-per-window loop
-the call sites used to follow, and writes every case's wall time to
-``BENCH_simulator.json`` at the repo root - the perf trajectory CI
-uploads so each PR shows its speed delta.  The engine-vs-reference
-case doubles as the CI perf gate: the vectorized engine must not be
-slower than the reference it replaced.
+the call sites used to follow, times a fresh executor on a warm
+platform (jitter draws memoized) against one on a cold platform, and
+writes every case's wall time to ``BENCH_simulator.json`` at the repo
+root - the perf trajectory CI uploads so each PR shows its speed
+delta.  The engine-vs-reference case doubles as the CI perf gate: the
+vectorized engine must not be slower than the reference it replaced.
 """
 
 import os
@@ -57,9 +58,9 @@ def make_executor():
     chunks = [Chunk(0, 5, "big"),
               Chunk(5, application.num_stages, "gpu")]
 
-    def build(engine=None):
-        return SimulatedPipelineExecutor(application, chunks, platform,
-                                         engine=engine)
+    def build(engine=None, on=None):
+        return SimulatedPipelineExecutor(application, chunks,
+                                         on or platform, engine=engine)
 
     return build
 
@@ -150,12 +151,15 @@ def test_run_batch_beats_per_window_executors(make_executor):
 
 
 def test_noise_cache_makes_reruns_cheaper(make_executor):
-    """A warm executor must skip every digest + RNG construction when
-    re-running the same schedule (exactly what autotuning and adaptive
-    windows do).  Asserted via the executor's miss counter - wall-clock
-    cold-vs-warm comparisons flake on loaded CI machines - with timings
-    printed for the curious."""
-    executor = make_executor()
+    """A warm platform must skip every digest + RNG construction when
+    the same schedule runs again - on the same executor (autotuning,
+    adaptive windows) or on a fresh one (serve and fleet build one per
+    tenant per tick).  Asserted via the executor's miss counter -
+    wall-clock cold-vs-warm comparisons flake on loaded CI machines -
+    with timings printed for the curious.  The platform is fresh: the
+    module's shared one was warmed by the tests above."""
+    platform = get_platform("pixel7a")
+    executor = make_executor(on=platform)
     start = time.perf_counter()
     executor.run(N_TASKS)
     cold_s = time.perf_counter() - start
@@ -169,3 +173,36 @@ def test_noise_cache_makes_reruns_cheaper(make_executor):
           f"({cold_misses} digest constructions), "
           f"warm run {warm_s * 1e3:.1f} ms (0 constructions)")
     assert executor.noise_cache_misses == cold_misses
+
+    second = make_executor(on=platform)
+    second.run(N_TASKS)
+    assert second.noise_cache_misses == 0
+
+
+def test_warm_platform_beats_cold_platform(make_executor):
+    """The platform-scoped jitter memo's payoff: a fresh executor on a
+    platform that already simulated the schedule skips the draws a
+    fresh executor on a cold platform pays for.  Both arms build the
+    executor inside the timed region; cold platforms are built outside
+    it."""
+    rounds = 5
+    warm_platform = get_platform("pixel7a")
+    make_executor(on=warm_platform).run(N_TASKS)
+
+    def timed(platform):
+        start = time.perf_counter()
+        make_executor(on=platform).run(N_TASKS)
+        return time.perf_counter() - start
+
+    cold = [timed(get_platform("pixel7a")) for _ in range(rounds)]
+    warm = [timed(warm_platform) for _ in range(rounds)]
+    cold_min, warm_min = min(cold), min(warm)
+    speedup = cold_min / warm_min
+    _record("noise_memo", warm_min, sum(warm) / rounds,
+            cold_min_s=round(cold_min, 6),
+            cold_mean_s=round(sum(cold) / rounds, 6),
+            speedup=round(speedup, 3))
+    print(f"\nwarm platform best {warm_min * 1e3:.2f} ms, "
+          f"cold platform best {cold_min * 1e3:.2f} ms "
+          f"({speedup:.2f}x)")
+    assert warm_min < cold_min

@@ -79,25 +79,29 @@ def prune_to_csr(weights: np.ndarray, sparsity: float) -> CsrMatrix:
     flat = weights.reshape(k, -1).astype(np.float32)
     keep = max(1, int(round(flat.size * (1.0 - sparsity))))
     magnitudes = np.abs(flat).ravel()
-    # Stable selection of the keep largest magnitudes.
-    order = np.argsort(-magnitudes, kind="stable")[:keep]
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[order] = True
-    mask = mask.reshape(flat.shape)
+    # NaN ranks below every magnitude, as it did in the stable argsort.
+    magnitudes[np.isnan(magnitudes)] = -1.0
+    if keep >= magnitudes.size:
+        mask = np.ones(flat.shape, dtype=bool)
+    else:
+        # The keep largest magnitudes, ties at the threshold taken in
+        # index order - the picks of a stable descending argsort, found
+        # in O(n) by a partition instead of a full sort.
+        threshold = np.partition(magnitudes, magnitudes.size - keep)[
+            magnitudes.size - keep
+        ]
+        mask = magnitudes > threshold
+        ties = np.flatnonzero(magnitudes == threshold)
+        mask[ties[:keep - int(np.count_nonzero(mask))]] = True
+        mask = mask.reshape(flat.shape)
 
-    data, indices, indptr = [], [], [0]
-    for row in range(k):
-        cols = np.nonzero(mask[row])[0]
-        data.append(flat[row, cols])
-        indices.append(cols)
-        indptr.append(indptr[-1] + len(cols))
+    rows, cols = np.nonzero(mask)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
     return CsrMatrix(
-        data=np.concatenate(data) if data else np.empty(0, np.float32),
-        indices=(
-            np.concatenate(indices).astype(np.int64)
-            if indices else np.empty(0, np.int64)
-        ),
-        indptr=np.asarray(indptr, dtype=np.int64),
+        data=flat[rows, cols],
+        indices=cols.astype(np.int64),
+        indptr=indptr,
         shape=(k, flat.shape[1]),
     )
 

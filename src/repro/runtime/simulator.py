@@ -57,7 +57,7 @@ Batching: :func:`simulate_batch` runs many independent windows - all
 tenants of a serve tick, all autotuner measurements of a round - in one
 call, and :meth:`SimulatedPipelineExecutor.run_batch` streams several
 windows through one executor back to back, reusing the engine's
-preallocated state plus its warm rate-signature and noise caches.
+preallocated state plus its warm rate-signature cache.
 """
 
 from __future__ import annotations
@@ -559,8 +559,8 @@ def simulate_batch(
     The batch entry point the serving layer (all tenants of a tick) and
     the autotuner (all measurements of a round) use: each window runs
     on its own executor, so executors repeated across windows keep
-    their preallocated engine state and warm rate-signature and noise
-    caches instead of paying per-window setup.
+    their preallocated engine state and warm rate-signature cache
+    instead of paying per-window setup.
 
     Args:
         windows: The windows, simulated in order (each is independent,
@@ -600,6 +600,14 @@ def simulate_batch(
 
 class SimulatedPipelineExecutor:
     """Simulate a schedule's pipeline execution on a virtual platform.
+
+    Each stage execution's jitter is a deterministic lognormal draw
+    seeded by ``platform.name|schedule|task|stage``.  Draws are memoized
+    in the platform's :attr:`~repro.soc.platform.Platform.jitter_memo`,
+    so fresh executors for a schedule the platform already simulated
+    (every serve or fleet tick builds one per tenant) make no new
+    draws.  Injected faults scale the drawn jitter per executor and
+    never enter the memo.
 
     Args:
         application: Provides the per-stage work profiles.
@@ -665,12 +673,18 @@ class SimulatedPipelineExecutor:
             else external_load
         )
         self.tenant = tenant
-        # (task, stage) -> jitter scale; the digest + RNG construction
-        # dominates the DES hot path without it.
-        self._noise_cache: Dict[Tuple[int, int], float] = {}
-        #: Digest + RNG constructions performed so far - a deterministic
-        #: hook for cache-effectiveness tests (wall-clock comparisons of
-        #: cold-vs-warm runs flake on loaded CI machines).
+        # (task, stage) -> jitter scale: this schedule's slice of the
+        # platform's memo, shared with every executor on the platform.
+        # The digest + RNG construction dominates the DES hot path
+        # without it.
+        self._noise_cache: Dict[Tuple[int, int], float] = (
+            platform.jitter_memo.setdefault(self._schedule_key, {})
+        )
+        #: Digest + RNG constructions this executor performed - a
+        #: deterministic hook for cache-effectiveness tests (wall-clock
+        #: comparisons of cold-vs-warm runs flake on loaded CI
+        #: machines).  Draws another executor on the same platform
+        #: already made are hits, not misses.
         self.noise_cache_misses = 0
         self._vector_engine: Optional[_VectorEngine] = None
         self._scale_fns: Optional[List[Callable[[int, int], float]]] = None
@@ -825,9 +839,9 @@ class SimulatedPipelineExecutor:
         """Simulate several independent windows back to back.
 
         All windows share this executor's engine state - preallocated
-        per-server lists, warm rate-signature cache, warm noise cache -
-        so a batch is cheaper than constructing an executor per window
-        (the pattern serving ticks and autotuner rounds used to follow).
+        per-server lists, warm rate-signature cache - so a batch is
+        cheaper than constructing an executor per window (the pattern
+        serving ticks and autotuner rounds used to follow).
         """
         return simulate_batch([
             SimWindow(self, n, record_trace=record_trace,

@@ -40,6 +40,14 @@ class Platform:
         affinity: Thread-affinity map (which classes are schedulable).
         noise: Measurement-noise source for all virtual timers.
         os_name: Informational.
+        jitter_memo: The DES's per-stage jitter draws, ``schedule key ->
+            {(task, stage): scale}``, shared by every
+            :class:`~repro.runtime.simulator.SimulatedPipelineExecutor`
+            built on this object.  A draw is a pure function of
+            ``name|schedule key|task|stage``, so the memo is exact; it
+            lives as long as the platform (one flow run), starts empty
+            on every new platform - ``dataclasses.replace`` included -
+            and takes no part in ``repr`` or ``==``.
     """
 
     name: str
@@ -51,6 +59,9 @@ class Platform:
     affinity: AffinityMap
     noise: MeasurementNoise = field(default_factory=MeasurementNoise)
     os_name: str = "Linux"
+    jitter_memo: Dict[str, Dict[Tuple[int, int], float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.clusters:

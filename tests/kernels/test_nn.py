@@ -224,6 +224,94 @@ class TestPruneToCsr:
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def stable_argsort_prune(weights, sparsity):
+    """The reference rule: a stable descending argsort of the
+    magnitudes keeps the ``keep`` largest, ties in index order."""
+    k = weights.shape[0]
+    flat = weights.reshape(k, -1).astype(np.float32)
+    keep = max(1, int(round(flat.size * (1.0 - sparsity))))
+    order = np.argsort(-np.abs(flat).ravel(), kind="stable")[:keep]
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[order] = True
+    mask = mask.reshape(flat.shape)
+    data, indices, indptr = [], [], [0]
+    for row in range(k):
+        cols = np.nonzero(mask[row])[0]
+        data.append(flat[row, cols])
+        indices.append(cols)
+        indptr.append(indptr[-1] + len(cols))
+    return (mask, np.concatenate(data),
+            np.concatenate(indices).astype(np.int64),
+            np.asarray(indptr, dtype=np.int64))
+
+
+def assert_matches_reference(weights, sparsity):
+    csr = prune_to_csr(weights, sparsity)
+    mask, data, indices, indptr = stable_argsort_prune(weights, sparsity)
+    rows, cols = csr.shape
+    kept = np.zeros((rows, cols), dtype=bool)
+    for row in range(rows):
+        kept[row, csr.indices[csr.indptr[row]:csr.indptr[row + 1]]] = True
+    np.testing.assert_array_equal(kept, mask)
+    for actual, expected in ((csr.data, data), (csr.indices, indices),
+                             (csr.indptr, indptr)):
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+
+
+SPARSITIES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=0.999, allow_nan=False),
+)
+
+
+class TestPruneMatchesStableArgsort:
+    """The O(n) partition threshold picks exactly what the stable
+    argsort it replaced picks, ties included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.integers(1, 5)] * 4), SPARSITIES,
+           st.integers(0, 2**32 - 1))
+    def test_random_weights(self, shape, sparsity, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.standard_normal(shape).astype(np.float32)
+        assert_matches_reference(weights, sparsity)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.integers(1, 5)] * 4), SPARSITIES,
+           st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_heavy_ties(self, shape, sparsity, seed, spread):
+        """Integer-valued weights: most magnitudes tie, including the
+        threshold, and signs differ among equal magnitudes."""
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(-spread, spread + 1, size=shape)
+        assert_matches_reference(weights.astype(np.float32), sparsity)
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.9, 0.999])
+    def test_all_zero_tensor(self, sparsity):
+        assert_matches_reference(
+            np.zeros((4, 3, 2, 2), dtype=np.float32), sparsity)
+
+    def test_keep_equals_size(self):
+        """A sparsity that rounds to keeping every weight."""
+        weights = np.arange(-6, 6, dtype=np.float32).reshape(3, 1, 2, 2)
+        assert_matches_reference(weights, 0.0)
+        assert_matches_reference(weights, 0.04)  # round(12 * 0.96) = 12
+        assert prune_to_csr(weights, 0.04).nnz == weights.size
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.6, 0.9])
+    def test_nan_weights_rank_last(self, sparsity):
+        weights = np.array([np.nan, 1.0, -2.0, np.nan, 0.0, np.nan,
+                            3.0, -1.0], dtype=np.float32).reshape(2, 4, 1, 1)
+        assert_matches_reference(weights, sparsity)
+
+    def test_conv_layer_scale(self):
+        rng = np.random.default_rng(2025)
+        weights = rng.standard_normal((64, 32, 3, 3)).astype(np.float32)
+        for sparsity in (0.5, 0.9, 0.995):
+            assert_matches_reference(weights, sparsity)
+
+
 class TestSparseConv:
     def make_case(self, seed, sparsity=0.8):
         spec = ConvSpec(in_channels=3, out_channels=6, kernel_size=3,
