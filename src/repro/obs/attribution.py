@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis import runtime_checks as _checks
 from repro.soc.interference import ExternalLoad, external_co_load
 
 #: Resource classes a source can be blamed on.
@@ -162,27 +163,62 @@ def _counterfactual_weights(
     chunks: Sequence[ChunkLoad],
     platform: Any,
     sources: Sequence[Tuple[str, ExternalLoad]],
+    memo: Optional[Dict[tuple, tuple]] = None,
 ) -> List[Tuple[str, str, float]]:
-    """Leave-one-component-out interval drops, in source order."""
+    """Leave-one-component-out interval drops, in source order.
+
+    ``memo`` (a serving session's, on one platform) maps the label-free
+    inputs - the chunk loads and each source's ``(busy items,
+    demand)`` in order - to the drops, so a repeat re-attaches labels
+    instead of replaying the rate model.  Under ``REPRO_CHECK=1`` a hit
+    is recomputed and must match exactly.
+    """
     loads = [load for _, load in sources]
+    if memo is None:
+        drops = _interval_drops(chunks, platform, loads)
+    else:
+        key = (
+            tuple(chunks),
+            tuple((tuple(load.busy.items()), load.demand_gbps)
+                  for load in loads),
+        )
+        drops = memo.get(key)
+        if drops is None:
+            drops = memo[key] = _interval_drops(chunks, platform, loads)
+        elif _checks.ENABLED and drops != _interval_drops(
+                chunks, platform, loads):
+            raise AssertionError(
+                "blame weight memo differs from a fresh replay"
+            )
+    return [
+        (label, resource, drop)
+        for (label, _), pair in zip(sources, drops)
+        for resource, drop in zip((COMPUTE, BANDWIDTH), pair)
+    ]
+
+
+def _interval_drops(
+    chunks: Sequence[ChunkLoad],
+    platform: Any,
+    loads: Sequence[ExternalLoad],
+) -> Tuple[Tuple[float, float], ...]:
+    """Per source, the interval drop without its busy fractions and
+    without its bandwidth demand."""
     full_interval = steady_interval(
         chunks, platform, ExternalLoad.combined(loads)
     )
-    weights: List[Tuple[str, str, float]] = []
-    for index, (label, load) in enumerate(sources):
-        for resource, stripped in (
-            (COMPUTE, load.bandwidth_only()),
-            (BANDWIDTH, load.compute_only()),
-        ):
+    drops = []
+    for index, load in enumerate(loads):
+        pair = []
+        for stripped in (load.bandwidth_only(), load.compute_only()):
             counterfactual = list(loads)
             counterfactual[index] = stripped
             interval = steady_interval(
                 chunks, platform, ExternalLoad.combined(counterfactual)
             )
-            weights.append(
-                (label, resource, max(full_interval - interval, 0.0))
-            )
-    return weights
+            pair.append(max(full_interval - interval, 0.0))
+        drops.append(tuple(pair))
+    return tuple(drops)
 
 
 def decompose(
@@ -192,6 +228,7 @@ def decompose(
     chunks: Sequence[ChunkLoad],
     platform: Any,
     sources: Sequence[Tuple[str, ExternalLoad]],
+    weight_memo: Optional[Dict[tuple, tuple]] = None,
 ) -> BlameMatrix:
     """Attribute a window's measured slowdown to its external sources.
 
@@ -205,6 +242,8 @@ def decompose(
         sources: Ordered ``(label, load)`` pairs - co-tenants in
             admission order, then drifts - so share order, and therefore
             report bytes, are a pure function of the seeded run.
+        weight_memo: Optional session memo for the counterfactual
+            weights (``WindowMemo.weights``), on ``platform`` only.
 
     The per-source counterfactual weights are normalised against the
     measured excess ``slowdown - 1``; whatever the model cannot explain
@@ -215,7 +254,8 @@ def decompose(
     shares: List[BlameShare] = []
     residual = excess
     if sources and excess > 0.0:
-        weights = _counterfactual_weights(chunks, platform, sources)
+        weights = _counterfactual_weights(chunks, platform, sources,
+                                          weight_memo)
         total_weight = sum(weight for _, _, weight in weights)
         if total_weight > 0.0:
             attributed = 0.0

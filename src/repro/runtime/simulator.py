@@ -57,20 +57,44 @@ Batching: :func:`simulate_batch` runs many independent windows - all
 tenants of a serve tick, all autotuner measurements of a round - in one
 call, and :meth:`SimulatedPipelineExecutor.run_batch` streams several
 windows through one executor back to back, reusing the engine's
-preallocated state plus its warm rate-signature cache.
+preallocated state plus its warm rate-signature cache.  A serve tick
+gets no such reuse from it: the server builds a fresh executor per
+tenant per tick.
+
+Window replay: a serving session instead hands every executor it builds
+one :class:`WindowMemo`.  Task ids restart at 0 in every window and the
+jitter draw is keyed on ``platform.name|schedule|task|stage``, so a
+window is a pure function of its value inputs: the schedule key, the
+per-chunk stage :class:`~repro.soc.workprofile.WorkProfile` tuples,
+``depth``, ``n_tasks``, ``arrival_period_s``, ``record_trace`` and the
+external load's demand and ``busy`` items - in iteration order, the
+order :func:`~repro.soc.interference.external_co_load` sums them in.
+The memo keys on exactly those values (never on object identity),
+stores each window's outcome once, and replays a repeat as fresh lists
+with the spans re-stamped for the replaying tenant; the replay still goes
+through the same post-run path, so tracer spans and ``sim.runs`` see
+every window.  The same memo keeps per-chunk cost tables and the blame
+weights of :mod:`repro.obs.attribution`.  Fault-injected windows and the
+``reference`` engine never touch it; under ``REPRO_CHECK=1`` every hit
+is re-simulated and must match field for field.  The memo lives for one
+open session and is emptied when the session closes; callers outside
+serving pass none.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Deque,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -78,6 +102,7 @@ from typing import (
 
 import numpy as np
 
+from repro.analysis import runtime_checks as _checks
 from repro.core.stage import Application, Chunk
 from repro.errors import PipelineError
 from repro.obs.metrics import metrics
@@ -86,6 +111,7 @@ from repro.runtime.faults import FaultInjector
 from repro.runtime.trace import Span, record_span
 from repro.soc.interference import ExternalLoad, external_co_load
 from repro.soc.platform import Platform
+from repro.soc.workprofile import WorkProfile
 
 #: Relative run-to-run jitter of a single stage execution (smaller than
 #: the timer's measurement noise; real kernels are quite repeatable).
@@ -187,8 +213,10 @@ class SimulatedRunResult:
         return self.chunk_busy_s.get(chunk_index, 0.0) / self.total_s
 
 
-@dataclass
-class _StageCost:
+class _StageCost(NamedTuple):
+    """One stage's isolated cost on one PU class (immutable, so a
+    session memo can share it between executors)."""
+
     overhead_s: float
     work_s: float
     memory_boundedness: float
@@ -199,7 +227,7 @@ class _ChunkServer:
     """Execution state of one chunk's dispatcher (reference engine)."""
 
     def __init__(self, index: int, chunk: Chunk,
-                 stage_costs: List[_StageCost]):
+                 stage_costs: Sequence[_StageCost]):
         self.index = index
         self.chunk = chunk
         self.stage_costs = stage_costs
@@ -598,6 +626,89 @@ def simulate_batch(
     return outcomes
 
 
+#: What one window run produces: completions, spans, busy seconds per
+#: chunk, end time, event count.
+_Outcome = Tuple[List[float], List[Span], Dict[int, float], float, int]
+
+
+class WindowMemo:
+    """Exact memo of one serving session's DES work (see module doc).
+
+    Three tables, all keyed on values and all on this memo's platform:
+
+    * ``windows`` - window key -> the window's outcome, spans stored
+      without their tenant (the keys of one schedule share their
+      schedule part through :meth:`canonical`);
+    * ``costs`` - ``(pu_class, stage WorkProfiles)`` -> a chunk's
+      per-stage cost table;
+    * ``weights`` - label-free blame inputs -> counterfactual interval
+      drops (filled by :func:`repro.obs.attribution.decompose`).
+
+    ``hits``/``misses`` count window lookups over the whole session;
+    :meth:`clear` frees the entries but keeps the counts.  Confined to
+    the one thread that steps the session, like the rest of its state.
+    """
+
+    def __init__(self, platform: Platform):
+        self.platform = platform
+        self.windows: Dict[tuple, bytes] = {}
+        self.costs: Dict[tuple, Tuple[_StageCost, ...]] = {}
+        self.weights: Dict[tuple, tuple] = {}
+        self.hits = 0
+        self.misses = 0
+        self._parts: Dict[tuple, tuple] = {}
+
+    def __len__(self) -> int:
+        return (len(self.windows) + len(self.costs) + len(self.weights)
+                + len(self._parts))
+
+    def clear(self) -> None:
+        """Free every entry (the session closed)."""
+        self.windows.clear()
+        self.costs.clear()
+        self.weights.clear()
+        self._parts.clear()
+
+    def canonical(self, part: tuple) -> tuple:
+        """The memo's own copy of a key part equal to ``part``, so the
+        keys of one schedule share it instead of each holding a copy."""
+        return self._parts.setdefault(part, part)
+
+    def replay(self, key: tuple,
+               tenant: Optional[str]) -> Optional[_Outcome]:
+        """A fresh copy of the stored outcome for ``key``, spans
+        stamped with ``tenant``; None (a miss) when nothing is
+        stored."""
+        stored = self.windows.get(key)
+        if stored is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        completed, spans, busy, now, events = marshal.loads(stored)
+        return (
+            completed,
+            [record_span(*span, tenant=tenant) for span in spans],
+            busy,
+            now,
+            events,
+        )
+
+    def store(self, key: tuple, outcome: _Outcome) -> None:
+        """Keep a simulated outcome, without its tenant.  Stored as
+        ``marshal`` bytes: floats round-trip bit for bit, every replay
+        unpacks fresh lists, and an entry takes about a third of the
+        memory the objects would."""
+        completed, spans, busy, now, events = outcome
+        self.windows[key] = marshal.dumps((
+            completed,
+            [(s.chunk_index, s.pu_class, s.task_id, s.start_s, s.end_s)
+             for s in spans],
+            busy,
+            now,
+            events,
+        ))
+
+
 class SimulatedPipelineExecutor:
     """Simulate a schedule's pipeline execution on a virtual platform.
 
@@ -632,6 +743,9 @@ class SimulatedPipelineExecutor:
         engine: Event-loop engine, ``"vector"`` (default) or
             ``"reference"``; ``None`` defers to the
             ``REPRO_SIM_ENGINE`` environment variable.
+        window_memo: Optional :class:`WindowMemo` of the serving
+            session this executor runs in, built on the same platform.
+            Ignored with a fault injector or the ``reference`` engine.
     """
 
     def __init__(
@@ -644,6 +758,7 @@ class SimulatedPipelineExecutor:
         external_load: Optional[ExternalLoad] = None,
         tenant: Optional[str] = None,
         engine: Optional[str] = None,
+        window_memo: Optional[WindowMemo] = None,
     ):
         from repro.runtime.pipeline import _check_chunk_cover
 
@@ -660,12 +775,32 @@ class SimulatedPipelineExecutor:
         if self.depth < 1:
             raise PipelineError("multi-buffering depth must be >= 1")
         self.engine = _resolve_engine(engine)
+        if window_memo is not None and window_memo.platform is not platform:
+            raise PipelineError(
+                f"window memo belongs to {window_memo.platform.name!r}, "
+                f"not {platform.name!r}"
+            )
+        # A faulted window is not a function of the memo key, and the
+        # reference engine is the oracle the memo answers to.
+        self._memo = (
+            window_memo
+            if fault_injector is None and self.engine == ENGINE_VECTOR
+            else None
+        )
+        self._works = tuple(
+            tuple(application.stages[i].work for i in chunk.stage_indices)
+            for chunk in self.chunks
+        )
         self._servers = [
-            _ChunkServer(i, chunk, self._costs_for(chunk))
-            for i, chunk in enumerate(self.chunks)
+            _ChunkServer(i, chunk, self._costs_for(chunk, works))
+            for i, (chunk, works) in enumerate(zip(self.chunks, self._works))
         ]
         self._schedule_key = "|".join(
             f"{c.pu_class}:{c.start}-{c.stop}" for c in self.chunks
+        )
+        self._schedule_part = (
+            None if self._memo is None
+            else self._memo.canonical((self._schedule_key, self._works))
         )
         self._injector = fault_injector
         self._external = (
@@ -689,24 +824,32 @@ class SimulatedPipelineExecutor:
         self._vector_engine: Optional[_VectorEngine] = None
         self._scale_fns: Optional[List[Callable[[int, int], float]]] = None
 
-    def _costs_for(self, chunk: Chunk) -> List[_StageCost]:
+    def _costs_for(self, chunk: Chunk,
+                   works: Tuple[WorkProfile, ...]) -> Tuple[_StageCost, ...]:
+        """Per-stage cost table of one chunk (``works``: its stages'
+        work profiles), shared through the session memo if any."""
+        key = (chunk.pu_class, works)
+        if self._memo is not None:
+            cached = self._memo.costs.get(key)
+            if cached is not None:
+                return cached
         costs = []
-        for index in chunk.stage_indices:
-            stage = self.application.stages[index]
+        for work in works:
             breakdown = self.platform.isolated_breakdown(
-                stage.work, chunk.pu_class
+                work, chunk.pu_class
             )
             costs.append(
                 _StageCost(
                     overhead_s=breakdown.overhead_s,
                     work_s=max(breakdown.compute_s, breakdown.memory_s),
                     memory_boundedness=breakdown.memory_boundedness,
-                    demand_gbps=breakdown.demand_bw_gbps(
-                        stage.work.bytes_moved
-                    ),
+                    demand_gbps=breakdown.demand_bw_gbps(work.bytes_moved),
                 )
             )
-        return costs
+        table = tuple(costs)
+        if self._memo is not None:
+            self._memo.costs[key] = table
+        return table
 
     def attribution_inputs(self) -> tuple:
         """Steady-state per-chunk load aggregates for blame decomposition.
@@ -813,22 +956,50 @@ class SimulatedPipelineExecutor:
         arrivals = [
             (arrival_period_s or 0.0) * t for t in range(n_tasks)
         ]
+        memo = self._memo
+        if memo is None:
+            outcome = self._simulate(n_tasks, record_trace, arrivals)
+        else:
+            key = self._window_key(n_tasks, record_trace, arrival_period_s)
+            outcome = memo.replay(key, self.tenant)
+            if outcome is None:
+                outcome = self._simulate(n_tasks, record_trace, arrivals)
+                memo.store(key, outcome)
+            elif _checks.ENABLED and outcome != self._simulate(
+                    n_tasks, record_trace, arrivals):
+                raise AssertionError(
+                    f"window memo replay of {self._schedule_key!r} "
+                    f"(tenant {self.tenant!r}) differs from a fresh "
+                    "simulation"
+                )
+        return self._finalize(n_tasks, *outcome, arrivals)
+
+    def _simulate(self, n_tasks: int, record_trace: bool,
+                  arrivals: List[float]) -> _Outcome:
         scale_fns = self._make_scale_fns()
         if self.engine == ENGINE_REFERENCE:
-            completed, spans, busy_s, now, events = self._run_reference(
+            return self._run_reference(
                 n_tasks, record_trace, arrivals, scale_fns
             )
-        else:
-            if self._vector_engine is None:
-                self._vector_engine = _VectorEngine(self)
-            completed, spans, busy_s, now, events = (
-                self._vector_engine.run_window(
-                    n_tasks, record_trace, arrivals, scale_fns
-                )
-            )
-        return self._finalize(
-            n_tasks, completed, spans, busy_s, now, events, arrivals
+        if self._vector_engine is None:
+            self._vector_engine = _VectorEngine(self)
+        return self._vector_engine.run_window(
+            n_tasks, record_trace, arrivals, scale_fns
         )
+
+    def _window_key(self, n_tasks: int, record_trace: bool,
+                    arrival_period_s: Optional[float]) -> tuple:
+        """Every value a window's outcome depends on, the platform
+        aside (the memo is per platform).  The external load follows
+        flat - its demand, then its ``busy`` items in iteration order,
+        the order ``external_co_load`` sums them in."""
+        key = (self._schedule_part, self.depth, n_tasks,
+               arrival_period_s, record_trace)
+        external = self._external
+        if external is None:
+            return key
+        return key + (external.demand_gbps,
+                      *chain.from_iterable(external.busy.items()))
 
     def run_batch(
         self,

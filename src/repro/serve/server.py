@@ -43,6 +43,7 @@ from repro.obs.tracer import tracer
 from repro.runtime.simulator import (
     SimWindow,
     SimulatedPipelineExecutor,
+    WindowMemo,
     simulate_batch,
 )
 from repro.runtime.trace import Span
@@ -198,6 +199,10 @@ class PipelineServer:
         self._admission_counter = 0
         self._names = set()
 
+        #: Exact replay memo of this session's DES windows, cost tables
+        #: and blame weights; emptied by :meth:`close_stepped`.
+        self.window_memo = WindowMemo(platform)
+
         self._heartbeat = Heartbeat(0, "serve-loop")
         #: "new" -> "open" (open_stepped) -> "closed" (close_stepped).
         self._lifecycle = "new"
@@ -294,6 +299,7 @@ class PipelineServer:
         """
         self._require_open("close_stepped")
         self._lifecycle = "closed"
+        self.window_memo.clear()
         self._close_out(detail)
         return self.report()
 
@@ -578,34 +584,42 @@ class PipelineServer:
         ))
 
     def _external_sources(
-        self, name: str, tick: int,
+        self,
+        name: str,
+        running: Dict[str, TenantRecord],
+        offered: Dict[str, object],
+        drifts: List[tuple],
     ) -> List[tuple]:
         """Per-source external loads tenant ``name`` sees, labelled.
 
         Ordered deterministically - co-tenants in admission order (the
         ``_running()`` order), then active drifts in injection order -
         so both the combined load *and* any blame decomposition built
-        from the pairs are pure functions of the seeded run.
+        from the pairs are pure functions of the seeded run.  A
+        co-tenant failed earlier in the tick no longer counts.
+        ``offered`` is the tick's snapshot: each co-tenant's offered
+        load (or the :class:`ReproError` computing it raised), filled
+        on first use.
         """
         sources: List[tuple] = []
-        for other, record in self._running().items():
-            if other == name:
+        for other, record in running.items():
+            if other == name or record.status != RUNNING:
                 continue
-            assert record.plan is not None and record.schedule is not None
-            sources.append((other, tenant_offered_load(
-                record.spec.application, record.plan.isolated,
-                record.schedule, self.platform,
-            )))
-        for index, drift in enumerate(self._drifts):
-            if drift.active_at(tick):
-                sources.append((f"drift:{index}", drift.load()))
-        return sources
-
-    def _external_for(self, name: str, tick: int) -> ExternalLoad:
-        """Everything tenant ``name`` sees on the SoC besides itself."""
-        return ExternalLoad.combined(
-            load for _, load in self._external_sources(name, tick)
-        )
+            load = offered.get(other)
+            if load is None:
+                assert record.plan is not None and record.schedule is not None
+                try:
+                    load = tenant_offered_load(
+                        record.spec.application, record.plan.isolated,
+                        record.schedule, self.platform,
+                    )
+                except ReproError as error:
+                    load = error
+                offered[other] = load
+            if isinstance(load, ReproError):
+                raise load
+            sources.append((other, load))
+        return sources + drifts
 
     def _serve_windows(self, tick: int) -> None:
         """Serve one window per running tenant, as one simulator batch.
@@ -617,13 +631,19 @@ class PipelineServer:
         tick's windows are processed.  That is what lets the whole
         tick run through :func:`simulate_batch` in one call.
         """
+        running = self._running()
+        offered: Dict[str, object] = {}
+        drifts = [(f"drift:{index}", drift.load())
+                  for index, drift in enumerate(self._drifts)
+                  if drift.active_at(tick)]
         batch: List[tuple] = []
-        for name, record in self._running().items():
+        for name, record in running.items():
             self._heartbeat.check_cancelled()
             assert (record.plan is not None
                     and record.schedule is not None)
             try:
-                sources = self._external_sources(name, tick)
+                sources = self._external_sources(name, running, offered,
+                                                 drifts)
                 external = ExternalLoad.combined(
                     load for _, load in sources
                 )
@@ -633,6 +653,7 @@ class PipelineServer:
                     self.platform,
                     external_load=external,
                     tenant=name,
+                    window_memo=self.window_memo,
                 )
             except ReproError as error:
                 self._fail_tenant(tick, name, record, error)
@@ -688,6 +709,7 @@ class PipelineServer:
                 chunks=executor.attribution_inputs(),
                 platform=self.platform,
                 sources=sources,
+                weight_memo=self.window_memo.weights,
             )
         record.history.append(WindowResult(
             window_index=record.windows_done - 1,

@@ -54,3 +54,23 @@ def defeat_admission_memo(monkeypatch):
         lambda self, memo, table, schedule: schedule.predicted_latency(
             self.application, table),
     )
+
+
+def defeat_window_memo(monkeypatch):
+    """Make every serving session's window memo forget what it is
+    told for the patch's lifetime: every window is simulated, every
+    cost table built and every blame weight replayed from scratch."""
+    from repro.runtime.simulator import WindowMemo
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    init = WindowMemo.__init__
+
+    def forgetful_init(self, platform):
+        init(self, platform)
+        self.windows, self.costs, self.weights = (
+            Forgetful(), Forgetful(), Forgetful())
+
+    monkeypatch.setattr(WindowMemo, "__init__", forgetful_init)
